@@ -13,6 +13,12 @@
 // A/B isolates pure kernel and allocation cost. The gemm_* cases force
 // one kernel width each (avx2, baseline) against the naive reference.
 //
+// The serialization cases A/B the checkpoint codec against
+// util::testing's reference codec on a trained DQN's checkpoint section:
+// JSON numbers via std::to_chars / std::from_chars against
+// snprintf("%.17g") / strtod, and the slicing-by-8 CRC-32 against the
+// bytewise loop. Both sides produce identical bytes, checked before timing.
+//
 // Writes BENCH_kernels.json; tools/check_bench.py gates CI on the speedup
 // column against the committed baseline (bench/baselines/). Pass --smoke
 // for the CI-sized run.
@@ -33,8 +39,10 @@
 #include "neural/testing/reference_kernels.h"
 #include "rl/dqn_agent.h"
 #include "rl/replay.h"
+#include "util/io.h"
 #include "util/json.h"
 #include "util/rng.h"
+#include "util/testing/reference_codec.h"
 
 namespace {
 
@@ -160,15 +168,15 @@ struct OldReplayAgent {
 };
 
 rl::Experience MakeExperience(const fsm::StateCodec& codec, util::Rng& rng,
-                              bool done) {
+                              bool done, std::size_t width = kFeatureWidth) {
   rl::Experience exp;
-  exp.features.resize(kFeatureWidth);
+  exp.features.resize(width);
   for (double& x : exp.features) x = rng.NextUniform(-1.0, 1.0);
   for (std::size_t d = 0; d < codec.device_count(); ++d) {
     exp.taken_slots.push_back(codec.NoOpSlot(static_cast<fsm::DeviceId>(d)));
   }
   exp.reward = rng.NextUniform(-1.0, 1.0);
-  exp.next_features.resize(kFeatureWidth);
+  exp.next_features.resize(width);
   for (double& x : exp.next_features) x = rng.NextUniform(-1.0, 1.0);
   exp.next_mask.assign(codec.mini_action_count(), true);
   exp.done = done;
@@ -372,6 +380,73 @@ int main(int argc, char** argv) {
         cases.push_back(result);
       }
     }
+  }
+
+  // --- Checkpoint codec ---------------------------------------------------
+  // The dqn section a tenant checkpoint carries: the full home's DQN
+  // (one-hot state + 7 time features in, 64-64 hidden) after enough replays
+  // that its weights and Adam moments are arbitrary doubles.
+  {
+    const std::size_t width = codec.one_hot_width() + 7;
+    rl::DqnConfig config;
+    config.batch_size = kBatch;
+    config.seed = 79;
+    rl::DqnAgent agent(width, codec, config);
+    util::Rng fill_rng(80);
+    for (std::size_t i = 0; i < 256; ++i) {
+      agent.Remember(MakeExperience(codec, fill_rng, i % 8 == 0, width));
+    }
+    for (int i = 0; i < 64; ++i) agent.Replay();
+    const util::JsonValue doc = agent.ToJson();
+    const std::string text = doc.Dump();
+    if (text != util::testing::ReferenceDump(doc) ||
+        util::JsonValue::Parse(text).Dump() !=
+            util::testing::ReferenceParse(text).Dump()) {
+      std::printf("FATAL: checkpoint codec differs from the reference\n");
+      return 1;
+    }
+    const int iters = scale * 4;
+    const auto add = [&](const char* name, const AbSeconds& t) {
+      CaseResult result;
+      result.name = name;
+      result.unit = "sections/sec";
+      result.old_per_sec = iters / t.old_s;
+      result.new_per_sec = iters / t.new_s;
+      PrintCase(result);
+      cases.push_back(result);
+    };
+    add("json_dump_dqn",
+        MeasureAb(7, iters, [&] { return doc.Dump(); },
+                  [&] { return util::testing::ReferenceDump(doc); }));
+    add("json_parse_dqn",
+        MeasureAb(7, iters, [&] { return util::JsonValue::Parse(text); },
+                  [&] { return util::testing::ReferenceParse(text); }));
+  }
+  {
+    std::string bytes(512 * 1024, '\0');
+    util::Rng rng(81);
+    for (char& byte : bytes) byte = static_cast<char>(rng.NextU64());
+    if (util::io::Crc32(bytes) !=
+        util::testing::ReferenceCrc32(bytes.data(), bytes.size())) {
+      std::printf("FATAL: CRC-32 differs from the reference\n");
+      return 1;
+    }
+    // The sink keeps the inlined reference loop from being discarded.
+    volatile std::uint32_t sink = 0;
+    const int iters = scale * 16;
+    const AbSeconds t = MeasureAb(
+        7, iters, [&] { sink = util::io::Crc32(bytes); },
+        [&] {
+          sink = util::testing::ReferenceCrc32(bytes.data(), bytes.size());
+        });
+    CaseResult result;
+    result.name = "crc32_512k";
+    result.unit = "MB/sec";
+    const double megabytes = static_cast<double>(bytes.size()) / 1e6;
+    result.old_per_sec = iters * megabytes / t.old_s;
+    result.new_per_sec = iters * megabytes / t.new_s;
+    PrintCase(result);
+    cases.push_back(result);
   }
 
   // --- JSON ---------------------------------------------------------------

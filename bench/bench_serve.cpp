@@ -21,6 +21,7 @@
 #include "bench_common.h"
 #include "events/event.h"
 #include "fsm/device_library.h"
+#include "obs/metrics.h"
 #include "runtime/fleet.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -211,7 +212,8 @@ int main(int argc, char** argv) {
   serve::ServerConfig sweep_config;
   sweep_config.workers = 1;
   sweep_config.queue_capacity = 4;
-  serve::Server sweep_server(sweep_dispatcher, sweep_config, nullptr);
+  obs::Registry sweep_registry;
+  serve::Server sweep_server(sweep_dispatcher, sweep_config, &sweep_registry);
 
   serve::LoopbackPair pair = serve::MakeLoopbackPair();
   serve::ConnectionStats sweep_stats;
@@ -228,6 +230,16 @@ int main(int argc, char** argv) {
                               ", \"type\": \"ping\"}");
   }
   pair.client->CloseWrite();
+  // Release the stall only once the server has decided every frame:
+  // released early, the worker drains the queue mid-burst and admits more
+  // than the stall plus queue_capacity.
+  const obs::Counter* accepted = sweep_registry.GetCounter("serve.accepted");
+  const obs::Counter* rejected =
+      sweep_registry.GetCounter("serve.rejected_overload");
+  while (accepted->Value() + rejected->Value() <
+         static_cast<std::uint64_t>(kBurst) + 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   sweep_dispatcher.ReleaseStalls();
   serving.join();
   const double sweep_ms = MsSince(sweep_begin);

@@ -11,9 +11,9 @@
 // Non-finite policy: serialization REJECTS NaN/Inf parameters with
 // util::CheckError, and deserialization rejects them with util::JsonError.
 // A diverged network must fail loudly at the save/restore boundary — the
-// JSON writer's "%.17g" would emit unparseable tokens, and silently
-// persisting a poisoned policy is exactly the failure mode the checkpoint
-// layer exists to prevent.
+// JSON writer would emit "nan" / "inf", tokens the strict RFC 8259 reader
+// rejects, and silently persisting a poisoned policy is exactly the
+// failure mode the checkpoint layer exists to prevent.
 #pragma once
 
 #include <string>

@@ -192,8 +192,7 @@ Checkpoint Checkpoint::Parse(const std::string& bytes,
                  "unrecoverable");
       return ckpt;
     }
-    const std::string payload =
-        reader.Bytes(static_cast<std::size_t>(payload_len));
+    std::string payload = reader.Bytes(static_cast<std::size_t>(payload_len));
     if (!reader.ok) {
       Report(issues, name,
              "payload truncated (wanted " + std::to_string(payload_len) +
@@ -207,7 +206,7 @@ Checkpoint Checkpoint::Parse(const std::string& bytes,
       Report(issues, name, "CRC mismatch: payload corrupt, section dropped");
       continue;
     }
-    ckpt.AddSection(name, payload);
+    ckpt.AddSection(name, std::move(payload));
   }
   if (reader.pos != bytes.size()) {
     Report(issues, "",

@@ -23,16 +23,37 @@ std::string ErrnoText(int err) {
   throw IoError(op + " failed for '" + path + "': " + ErrnoText(err));
 }
 
-constexpr std::array<std::uint32_t, 256> MakeCrcTable() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-8 tables: kCrcTables[0] is the classic bytewise table, and
+// kCrcTables[k][n] is kCrcTables[k - 1][n] advanced over one more zero
+// byte, so one step folds eight input bytes with eight independent
+// lookups instead of a serial chain of eight.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables tables{};
   for (std::uint32_t n = 0; n < 256; ++n) {
     std::uint32_t c = n;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[n] = c;
+    tables[0][n] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::size_t n = 0; n < 256; ++n) {
+      const std::uint32_t prev = tables[k - 1][n];
+      tables[k][n] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
+}
+
+constexpr CrcTables kCrcTables = MakeCrcTables();
+
+std::uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 // RAII fd so every error path closes.
@@ -84,11 +105,18 @@ void FsyncDirOf(const std::string& path) {
 }  // namespace
 
 std::uint32_t Crc32(const void* data, std::size_t size) {
-  static constexpr std::array<std::uint32_t, 256> kTable = MakeCrcTable();
+  const auto& t = kCrcTables;
   const auto* bytes = static_cast<const unsigned char*>(data);
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = kTable[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const std::uint32_t lo = LoadLe32(bytes) ^ crc;
+    const std::uint32_t hi = LoadLe32(bytes + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++bytes, --size) {
+    crc = t[0][(crc ^ *bytes) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -115,6 +143,10 @@ std::string ReadFile(const std::string& path) {
   Fd fd(::open(path.c_str(), O_RDONLY));
   if (fd.get() < 0) ThrowIo("open", path, errno);
   std::string out;
+  struct stat info {};
+  if (::fstat(fd.get(), &info) == 0 && info.st_size > 0) {
+    out.reserve(static_cast<std::size_t>(info.st_size));
+  }
   std::array<char, 1 << 16> buffer;
   for (;;) {
     const ::ssize_t n = ::read(fd.get(), buffer.data(), buffer.size());
@@ -136,13 +168,20 @@ void RemoveFile(const std::string& path) {
 void AtomicWriteFile(const std::string& path, const std::string& payload,
                      WriteInterceptor* interceptor) {
   const std::string tmp = path + ".tmp";
-  std::string bytes = payload;
-  if (interceptor != nullptr) interceptor->OnWrite(path, bytes);
+  // Only an interceptor may mutate the bytes; production writes skip the
+  // copy.
+  std::string mutated;
+  const std::string* bytes = &payload;
+  if (interceptor != nullptr) {
+    mutated = payload;
+    interceptor->OnWrite(path, mutated);
+    bytes = &mutated;
+  }
   {
     Fd fd(::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644));
     if (fd.get() < 0) ThrowIo("open", tmp, errno);
     try {
-      WriteAll(fd.get(), tmp, bytes);
+      WriteAll(fd.get(), tmp, *bytes);
       if (::fsync(fd.get()) != 0) ThrowIo("fsync", tmp, errno);
     } catch (...) {
       RemoveFile(tmp);

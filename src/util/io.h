@@ -32,7 +32,8 @@ class IoError : public std::runtime_error {
 };
 
 // CRC-32 (IEEE 802.3 reflected polynomial 0xEDB88320) over bytes — the
-// per-section checksum of the checkpoint format.
+// per-section checksum of the checkpoint format and of serve frames.
+// Computed slicing-by-8, bit-identical to the bytewise table loop.
 std::uint32_t Crc32(const void* data, std::size_t size);
 std::uint32_t Crc32(const std::string& bytes);
 

@@ -1,8 +1,10 @@
 #include "util/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <system_error>
 
 namespace jarvis::util {
 
@@ -138,15 +140,22 @@ std::string JsonEscape(const std::string& raw) {
 
 namespace {
 
+// Integers of magnitude below 1e15 print as integers (the digits "%.17g"
+// prints, except that -0 prints as "0"); every other double prints exactly
+// as "%.17g" would, which round-trips every finite double. Checkpoint
+// bytes and CRCs depend on these bytes, so they must not change.
 void AppendNumber(std::string& out, double value) {
-  if (value == static_cast<double>(std::llround(value)) &&
-      std::fabs(value) < 1e15) {
-    out += std::to_string(std::llround(value));
-    return;
-  }
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  out += buf;
+  std::to_chars_result result;
+  if (std::fabs(value) < 1e15 &&
+      value == static_cast<double>(static_cast<long long>(value))) {
+    result = std::to_chars(buf, buf + sizeof buf,
+                           static_cast<long long>(value));
+  } else {
+    result = std::to_chars(buf, buf + sizeof buf, value,
+                           std::chars_format::general, 17);
+  }
+  out.append(buf, result.ptr);
 }
 
 void Indent(std::string& out, int indent, int depth) {
@@ -262,9 +271,14 @@ class Parser {
   JsonValue ParseValue() {
     switch (Peek()) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        // Containers recurse: 100k nested '[' would overflow the stack.
+        // Real documents nest about 6 deep.
+        if (++depth_ > kMaxDepth) Fail("nesting too deep");
+        JsonValue value = Peek() == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return value;
+      }
       case '"':
         return JsonValue(ParseString());
       case 't':
@@ -395,25 +409,52 @@ class Parser {
     return out;
   }
 
-  JsonValue ParseNumber() {
-    std::size_t start = pos_;
-    if (Peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) Fail("expected a value");
-    try {
-      return JsonValue(std::stod(text_.substr(start, pos_ - start)));
-    } catch (const std::exception&) {
-      Fail("bad number");
-    }
+  bool AtDigit() const {
+    return pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9';
   }
+
+  void SkipDigits() {
+    while (AtDigit()) ++pos_;
+  }
+
+  // RFC 8259: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, scanned in
+  // place and converted by std::from_chars, which accepts the subnormals
+  // our own writer emits (std::stod throws ERANGE on them).
+  JsonValue ParseNumber() {
+    const std::size_t start = pos_;
+    if (Peek() == '-') ++pos_;
+    if (!AtDigit()) Fail(pos_ == start ? "expected a value" : "bad number");
+    if (text_[pos_] == '0') {
+      ++pos_;
+    } else {
+      SkipDigits();
+    }
+    if (pos_ < text_.size() && text_[pos_] == '.') {
+      ++pos_;
+      if (!AtDigit()) Fail("bad number");
+      SkipDigits();
+    }
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
+        ++pos_;
+      }
+      if (!AtDigit()) Fail("bad number");
+      SkipDigits();
+    }
+    const char* const begin = text_.data() + start;
+    const char* const end = text_.data() + pos_;
+    double value = 0.0;
+    const auto [ptr, ec] = std::from_chars(begin, end, value);
+    if (ec != std::errc{} || ptr != end) Fail("bad number");
+    return JsonValue(value);
+  }
+
+  static constexpr int kMaxDepth = 64;
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

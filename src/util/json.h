@@ -70,9 +70,13 @@ class JsonValue {
   std::string GetString(const std::string& key, const std::string& fallback) const;
 
   // Serializes compactly (no whitespace). `indent` > 0 pretty-prints.
+  // Integers below 1e15 print without a fraction; other numbers print the
+  // bytes printf's "%.17g" gives, which parse back to the same double.
   std::string Dump(int indent = 0) const;
 
-  // Parses a complete JSON document; throws JsonError on malformed input.
+  // Parses a complete JSON document; throws JsonError on malformed input:
+  // numbers outside the RFC 8259 grammar or the double range, and
+  // containers nested deeper than 64.
   static JsonValue Parse(const std::string& text);
 
   bool operator==(const JsonValue& other) const;

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "fsm/device_library.h"
@@ -198,6 +202,49 @@ TEST_F(AgentFixture, AgentJsonRoundTripRestoresThePolicyExactly) {
               original.SelectAction(features, mask, true));
     EXPECT_EQ(restored.GreedyActionFromQ(original.QValues(features), mask),
               original.GreedyActionFromQ(original.QValues(features), mask));
+  }
+}
+
+// A checkpoint goes ToJson -> Dump -> bytes -> Parse -> LoadJson. Weights
+// and Adam moments that decay into the subnormal range must survive that
+// trip bit for bit (the reader once rejected the subnormal tokens its own
+// writer emits, dropping the whole dqn section on restore).
+TEST_F(AgentFixture, AgentTextRoundTripKeepsSubnormalParametersExact) {
+  DqnConfig config;
+  config.batch_size = 8;
+  config.seed = 37;
+  DqnAgent original(4, codec_, config);
+  NudgeAgent(original, codec_);
+
+  util::JsonValue doc = original.ToJson();
+  util::JsonValue& network = doc.MutableObject()["network"];
+  util::JsonValue& layer = network.MutableObject()["layers"].MutableArray()[0];
+  layer.MutableObject()["weights"].MutableObject()["data"].MutableArray()[0] =
+      util::JsonValue(DBL_TRUE_MIN);
+  util::JsonValue& state =
+      network.MutableObject()["optimizer"].MutableObject()["state"];
+  state.MutableObject()["v_weights"].MutableArray()[0].MutableObject()["data"]
+      .MutableArray()[1] = util::JsonValue(-1e-310);
+  DqnAgent subnormal(4, codec_, config);
+  subnormal.LoadJson(doc);
+  ASSERT_EQ(subnormal.network().layers()[0].weights().data()[0], DBL_TRUE_MIN);
+
+  const std::string text = subnormal.ToJson().Dump();
+  ASSERT_NE(text.find("4.9406564584124654e-324"), std::string::npos);
+  DqnAgent restored(4, codec_, config);
+  restored.LoadJson(util::JsonValue::Parse(text));
+  EXPECT_EQ(restored.network().layers()[0].weights().data()[0], DBL_TRUE_MIN);
+  EXPECT_EQ(restored.ToJson().Dump(), text);
+  for (int trial = 0; trial < 10; ++trial) {
+    const std::vector<double> features = {1.0 - 0.1 * trial, 0.3 * trial,
+                                          -0.4, 0.7};
+    const std::vector<double> got = restored.QValues(features);
+    const std::vector<double> want = subnormal.QValues(features);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                std::bit_cast<std::uint64_t>(want[i]));
+    }
   }
 }
 

@@ -2,8 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "util/rng.h"
+#include "util/testing/reference_codec.h"
+
 namespace jarvis::util {
 namespace {
+
+using testing::ReferenceDump;
+using testing::ReferenceFormatNumber;
+using testing::ReferenceReadNumber;
 
 TEST(Json, ScalarRoundTrips) {
   EXPECT_EQ(JsonValue::Parse("null").type(), JsonValue::Type::kNull);
@@ -127,6 +141,146 @@ TEST(Json, CopyOnWriteMutationDoesNotAliasShares) {
   b.MutableArray().push_back(JsonValue(2));
   EXPECT_EQ(a.AsArray().size(), 1u);
   EXPECT_EQ(b.AsArray().size(), 2u);
+}
+
+// Every value must Dump to the "%.17g"-era bytes and parse back to the
+// same bits. -0.0 takes the integer branch ("0"), as it always has, so it
+// comes back as +0.0.
+void ExpectExactRoundTrip(const std::vector<double>& values) {
+  JsonArray array;
+  array.reserve(values.size());
+  for (double v : values) array.emplace_back(v);
+  const JsonValue doc(std::move(array));
+  const std::string dumped = doc.Dump();
+  if (dumped != ReferenceDump(doc)) {
+    for (double v : values) {
+      ASSERT_EQ(JsonValue(v).Dump(), ReferenceFormatNumber(v))
+          << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(v);
+    }
+  }
+  const JsonValue reparsed = JsonValue::Parse(dumped);
+  const JsonArray& parsed = reparsed.AsArray();
+  ASSERT_EQ(parsed.size(), values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const double expected = values[i] == 0.0 ? 0.0 : values[i];
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(parsed[i].AsNumber()),
+              std::bit_cast<std::uint64_t>(expected))
+        << "token " << ReferenceFormatNumber(values[i]);
+  }
+}
+
+TEST(JsonNumbers, EdgeValuesMatchTheReferenceWriterAndReader) {
+  std::vector<double> edges = {0.0,
+                               -0.0,
+                               DBL_TRUE_MIN,
+                               -DBL_TRUE_MIN,
+                               DBL_MIN,
+                               -DBL_MIN,
+                               DBL_MIN - DBL_TRUE_MIN,
+                               DBL_MAX,
+                               -DBL_MAX,
+                               DBL_EPSILON,
+                               0.1,
+                               1.0 / 3.0,
+                               123456.789,
+                               1e-5,
+                               1e16,
+                               9007199254740993.0};
+  // Both sides of the integer branch's 1e15 cut, and just off integers.
+  for (double base : {1e15, -1e15}) {
+    double v = base;
+    for (int i = 0; i < 4; ++i) v = std::nextafter(v, 0.0);
+    for (int i = 0; i < 8; ++i, v = std::nextafter(v, 2 * base)) {
+      edges.push_back(v);
+      edges.push_back(v + (base > 0 ? 0.5 : -0.5));
+    }
+  }
+  ExpectExactRoundTrip(edges);
+  EXPECT_EQ(JsonValue(DBL_TRUE_MIN).Dump(), "4.9406564584124654e-324");
+  EXPECT_EQ(JsonValue(-0.0).Dump(), "0");
+  EXPECT_EQ(JsonValue(1e15).Dump(), "1000000000000000");
+  EXPECT_EQ(JsonValue(1e17).Dump(), "1e+17");
+  EXPECT_EQ(JsonValue(999999999999999.0).Dump(), "999999999999999");
+}
+
+TEST(JsonNumbers, RandomBitPatternsMatchTheReferenceWriterAndReader) {
+  Rng rng(20260101);
+  constexpr int kValues = 1 << 20;
+  constexpr int kChunk = 4096;
+  std::vector<double> chunk;
+  chunk.reserve(kChunk);
+  for (int produced = 0; produced < kValues;) {
+    const double v = std::bit_cast<double>(rng.NextU64());
+    if (!std::isfinite(v)) continue;
+    chunk.push_back(v);
+    ++produced;
+    if (chunk.size() == kChunk) {
+      ExpectExactRoundTrip(chunk);
+      if (HasFatalFailure()) return;
+      chunk.clear();
+    }
+  }
+  ExpectExactRoundTrip(chunk);
+}
+
+TEST(JsonNumbers, ReaderMatchesStrtodOnHandWrittenTokens) {
+  for (const std::string token :
+       {"0", "-0", "0.1", "-2.5e-3", "1E5", "1e+5", "123456789012345678901234",
+        "2.2250738585072011e-308", "2.2250738585072014e-308", "1e-310",
+        "4.9406564584124654e-324", "2.4703282292062328e-324",
+        "9007199254740993", "1.7976931348623157e308", "0.30000000000000004",
+        "7.2057594037927933e+16"}) {
+    const double parsed = JsonValue::Parse(token).AsNumber();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed),
+              std::bit_cast<std::uint64_t>(ReferenceReadNumber(token)))
+        << token;
+  }
+}
+
+TEST(JsonNumbers, SubnormalsParse) {
+  const JsonValue doc = JsonValue::Parse("[4.9406564584124654e-324]");
+  EXPECT_EQ(doc.AsArray().at(0).AsNumber(), DBL_TRUE_MIN);
+  EXPECT_EQ(JsonValue::Parse("-1e-310").AsNumber(), -1e-310);
+}
+
+TEST(JsonNumbers, MalformedNumbersThrow) {
+  for (const char* text :
+       {"[1.2.3]", "[1-2]", "[1e]", "[+1]", "[01]", "[1.]", "[.5]", "[-]",
+        "[1e+]", "[-01]", "[1.e5]", "[0x10]", "[1e999]", "[-1e999]",
+        "[1e-999]", "[Infinity]", "[-nan]"}) {
+    EXPECT_THROW(JsonValue::Parse(text), JsonError) << text;
+  }
+}
+
+TEST(JsonNesting, DepthIsCappedAt64) {
+  const auto nested = [](int depth, char open, char close) {
+    std::string text;
+    for (int i = 0; i < depth; ++i) {
+      text += open;
+      if (open == '{') text += "\"k\":";
+    }
+    text += "1";
+    for (int i = 0; i < depth; ++i) text += close;
+    return text;
+  };
+  EXPECT_NO_THROW(JsonValue::Parse(nested(64, '[', ']')));
+  EXPECT_NO_THROW(JsonValue::Parse(nested(64, '{', '}')));
+  EXPECT_THROW(JsonValue::Parse(nested(65, '[', ']')), JsonError);
+  EXPECT_THROW(JsonValue::Parse(nested(65, '{', '}')), JsonError);
+  // Depth is nesting, not a count of containers: siblings never add up.
+  std::string siblings = "[";
+  for (int i = 0; i < 1000; ++i) siblings += i == 0 ? "[[1]]" : ",[[1]]";
+  siblings += "]";
+  EXPECT_EQ(JsonValue::Parse(siblings).AsArray().size(), 1000u);
+}
+
+TEST(JsonNesting, DepthBombThrowsInsteadOfOverflowingTheStack) {
+  // 100 KB of '[': far under the 1 MiB serve frame cap, and deep enough to
+  // overflow the stack of an uncapped recursive parser.
+  EXPECT_THROW(JsonValue::Parse(std::string(100000, '[')), JsonError);
+  EXPECT_THROW(JsonValue::Parse(std::string(100000, '[') +
+                                std::string(100000, ']')),
+               JsonError);
 }
 
 }  // namespace

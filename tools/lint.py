@@ -51,6 +51,13 @@ Enforced invariants (see DESIGN.md "Correctness tooling"):
      enforced in exactly one place each (DESIGN.md §15).
      RAW_SOCKET_ALLOWLIST is empty on purpose. Tests and examples/ may
      use OS I/O freely.
+ 12. Every quoted `#include "path"` in the scanned trees resolves, next
+     to the including file or under src/, to a file tracked by git. A
+     file that exists on disk but is ignored or never added (the
+     `.gitignore` pattern `core` once swallowed src/core/health.h) builds
+     locally and breaks a clean checkout; this rule fails it first. Outside
+     a git checkout (a source tarball) there is no tracked set and the
+     rule is skipped.
 
 Run with --self-test to exercise the rule engine against embedded
 fixtures (wired into CI's static-analysis job).
@@ -178,6 +185,7 @@ GUARDED_MACRO_RE = re.compile(r"\bJARVIS_(?:PT_)?GUARDED_BY\s*\(")
 JARVIS_MACRO_CALL_RE = re.compile(r"\bJARVIS_\w+\s*\([^()]*\)")
 TRAILING_INIT_RE = re.compile(r"=[^=]*$")
 TRAILING_NAME_RE = re.compile(r"([A-Za-z_]\w*)\s*$")
+QUOTED_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 CLASS_HEAD_RE = re.compile(r"\b(?:class|struct)\b")
 ENUM_HEAD_RE = re.compile(r"\benum\b")
 
@@ -322,7 +330,40 @@ def check_pragma_once(rel, lines, errors):
     errors.append(f"{rel}:1: header has no '#pragma once'")
 
 
-def check_file_text(root, rel, errors, text=None):
+def tracked_files(root):
+    """Repo-relative '/'-separated paths git tracks under root, or None
+    when root is not a git checkout."""
+    try:
+        proc = subprocess.run(["git", "-C", root, "ls-files", "-z"],
+                              capture_output=True, text=True)
+    except OSError:
+        return None
+    if proc.returncode != 0:
+        return None
+    return {path for path in proc.stdout.split("\0") if path}
+
+
+def check_includes(rel, raw_lines, tracked, errors):
+    """Rule 12: quoted includes resolve to tracked files."""
+    base = os.path.dirname(rel).replace(os.sep, "/")
+    for lineno, line in enumerate(raw_lines, 1):
+        match = QUOTED_INCLUDE_RE.match(line)
+        if not match:
+            continue
+        target = match.group(1)
+        candidates = {
+            os.path.normpath(os.path.join(base, target)).replace(os.sep, "/"),
+            os.path.normpath(os.path.join("src", target)).replace(os.sep, "/"),
+        }
+        if not candidates & tracked:
+            errors.append(
+                f'{rel}:{lineno}: #include "{target}" resolves to no file '
+                "tracked by git — a clean checkout will not build (add the "
+                "file, or fix a .gitignore pattern that hides it; lint "
+                "rule 12)")
+
+
+def check_file_text(root, rel, errors, text=None, tracked=None):
     is_header = rel.endswith((".h", ".hpp"))
     in_src = rel.startswith("src" + os.sep)
     if text is None:
@@ -332,6 +373,9 @@ def check_file_text(root, rel, errors, text=None):
         raw = text
     code = strip_comments(raw)
     code_lines = code.splitlines()
+
+    if tracked is not None:
+        check_includes(rel, raw.splitlines(), tracked, errors)
 
     if is_header:
         check_pragma_once(rel, raw.splitlines(), errors)
@@ -535,14 +579,32 @@ SELF_TEST_CASES = [
     ("rule11 does not apply to examples", "examples/fix_daemon.cpp",
      "#include <sys/socket.h>\nvoid f(int fd) { ::close(fd); }\n",
      []),
+    ("rule12 resolves includes under src/ and beside the file",
+     "bench/fix_bench.cpp",
+     '#include "util/json.h"\n#include "bench_common.h"\n'
+     "#include <vector>\n",
+     []),
+    ("rule12 flags an include of an untracked file", "src/core/fix.cpp",
+     '#include "core/jarvis.h"\n#include "core/health.h"\n',
+     ['#include "core/health.h" resolves to no file']),
+    ("rule12 ignores commented-out includes", "src/fix/c.cpp",
+     '// #include "gone.h"\n',
+     []),
 ]
+
+# The tracked set the rule-12 fixtures resolve against: src/core/health.h
+# is deliberately absent, as it was when .gitignore hid it.
+SELF_TEST_TRACKED = frozenset({
+    "src/util/json.h", "bench/bench_common.h", "src/core/jarvis.h",
+})
 
 
 def run_self_test():
     failures = []
     for name, rel, text, expected in SELF_TEST_CASES:
         errors = []
-        check_file_text(None, rel, errors, text=text)
+        check_file_text(None, rel, errors, text=text,
+                        tracked=SELF_TEST_TRACKED)
         if expected:
             for marker in expected:
                 hits = [e for e in errors if marker in e]
@@ -595,8 +657,9 @@ def main():
             errors.append(
                 f"src/{entry}: module not registered in tools/lint.py "
                 "SRC_MODULES (register it so lint rules apply on purpose)")
+    tracked = tracked_files(root)
     for rel in files:
-        check_file_text(root, rel, errors)
+        check_file_text(root, rel, errors, tracked=tracked)
 
     headers = [f for f in files if f.endswith((".h", ".hpp"))]
     if not args.skip_self_containment:
