@@ -4,13 +4,25 @@
 // binary.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "core/jarvis.h"
+#include "neural/kernels.h"
 #include "sim/testbed.h"
+#include "util/json.h"
+
+// bench/CMakeLists.txt defines both for every bench binary.
+#ifndef JARVIS_BENCH_COMPILER
+#define JARVIS_BENCH_COMPILER "unknown"
+#endif
+#ifndef JARVIS_BENCH_BUILD_TYPE
+#define JARVIS_BENCH_BUILD_TYPE "unknown"
+#endif
 
 namespace jarvis::bench {
 
@@ -69,6 +81,23 @@ struct Harness {
   sim::Testbed testbed;
   std::unique_ptr<core::Jarvis> jarvis;
 };
+
+// The `machine` block every BENCH_*.json carries: what the numbers were
+// measured on. A runner without AVX2 skips bench_kernels' avx2 cases, and
+// tools/check_bench.py excuses them from the gate; the deterministic gates
+// ignore the block.
+inline util::JsonValue MachineJson() {
+  util::JsonObject machine;
+  machine["nproc"] =
+      static_cast<std::int64_t>(std::thread::hardware_concurrency());
+  machine["compiler"] = JARVIS_BENCH_COMPILER;
+  machine["build_type"] = JARVIS_BENCH_BUILD_TYPE;
+  machine["avx2"] =
+      neural::kernels::WidthSupported(neural::kernels::Width::kAvx2);
+  machine["kernel_width"] =
+      neural::kernels::WidthName(neural::kernels::BestWidth());
+  return util::JsonValue(std::move(machine));
+}
 
 inline void PrintHeader(const char* experiment, const char* paper_ref) {
   std::printf("==================================================================\n");

@@ -15,9 +15,10 @@
 //
 // The serialization cases A/B the checkpoint codec against
 // util::testing's reference codec on a trained DQN's checkpoint section:
-// JSON numbers via std::to_chars / std::from_chars against
-// snprintf("%.17g") / strtod, and the slicing-by-8 CRC-32 against the
-// bytewise loop. Both sides produce identical bytes, checked before timing.
+// JSON numbers via the exact %.17g writer (std::to_chars outside its
+// range) / std::from_chars against snprintf("%.17g") / strtod, and the
+// slicing-by-8 CRC-32 against the bytewise loop. Both sides produce
+// identical bytes, checked before timing.
 //
 // Writes BENCH_kernels.json; tools/check_bench.py gates CI on the speedup
 // column against the committed baseline (bench/baselines/). Pass --smoke
@@ -33,6 +34,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "fsm/device_library.h"
 #include "neural/kernels.h"
 #include "neural/network.h"
@@ -461,21 +463,10 @@ int main(int argc, char** argv) {
     if (!result.requires_isa.empty()) entry["requires"] = result.requires_isa;
     case_array.push_back(util::JsonValue(std::move(entry)));
   }
-  // The machine the ratios were measured on. A runner without AVX2 skips
-  // the avx2 cases, and tools/check_bench.py excuses them from the gate.
-  util::JsonObject machine;
-  machine["nproc"] =
-      static_cast<std::int64_t>(std::thread::hardware_concurrency());
-  machine["compiler"] = JARVIS_BENCH_COMPILER;
-  machine["build_type"] = JARVIS_BENCH_BUILD_TYPE;
-  machine["avx2"] =
-      neural::kernels::WidthSupported(neural::kernels::Width::kAvx2);
-  machine["kernel_width"] =
-      neural::kernels::WidthName(neural::kernels::BestWidth());
   util::JsonObject doc;
   doc["bench"] = "kernels";
   doc["smoke"] = smoke;
-  doc["machine"] = util::JsonValue(std::move(machine));
+  doc["machine"] = bench::MachineJson();
   doc["cases"] = util::JsonValue(std::move(case_array));
   std::ofstream out("BENCH_kernels.json");
   out << util::JsonValue(std::move(doc)).Dump(2) << "\n";

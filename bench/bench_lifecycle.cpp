@@ -166,6 +166,7 @@ int main(int argc, char** argv) {
   util::JsonObject doc;
   doc["bench"] = "lifecycle";
   doc["smoke"] = smoke;
+  doc["machine"] = bench::MachineJson();
   doc["cases"] = util::JsonValue(std::move(cases));
   std::ofstream out("BENCH_lifecycle.json");
   out << util::JsonValue(std::move(doc)).Dump(2) << "\n";

@@ -303,6 +303,7 @@ int main(int argc, char** argv) {
   util::JsonObject doc;
   doc["bench"] = "serve";
   doc["smoke"] = smoke;
+  doc["machine"] = bench::MachineJson();
   doc["cases"] = util::JsonValue(std::move(cases));
   std::ofstream out("BENCH_serve.json");
   out << util::JsonValue(std::move(doc)).Dump(2) << "\n";

@@ -12,6 +12,8 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 namespace jarvis::util {
@@ -29,29 +31,35 @@ class JsonError : public std::runtime_error {
 };
 
 // A JSON value: null, bool, number (double), string, array, or object.
+//
+// 24 bytes: scalars live inline; strings, arrays and objects live behind a
+// shared_ptr. Copies share the pointee (copy is O(1)); MutableArray and
+// MutableObject clone a shared container before handing out a mutable
+// reference, so writing through a copy never changes the original.
+// Strings are immutable once wrapped.
 class JsonValue {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
-  JsonValue() : type_(Type::kNull) {}
-  JsonValue(bool b) : type_(Type::kBool), bool_(b) {}                 // NOLINT
-  JsonValue(double d) : type_(Type::kNumber), number_(d) {}           // NOLINT
-  JsonValue(int i) : type_(Type::kNumber), number_(i) {}              // NOLINT
+  JsonValue() = default;
+  JsonValue(bool b) : value_(std::in_place_type<bool>, b) {}          // NOLINT
+  JsonValue(double d) : value_(std::in_place_type<double>, d) {}      // NOLINT
+  JsonValue(int i)                                                    // NOLINT
+      : value_(std::in_place_type<double>, static_cast<double>(i)) {}
   JsonValue(std::int64_t i)                                           // NOLINT
-      : type_(Type::kNumber), number_(static_cast<double>(i)) {}
-  JsonValue(const char* s) : type_(Type::kString), string_(s) {}      // NOLINT
-  JsonValue(std::string s)                                            // NOLINT
-      : type_(Type::kString), string_(std::move(s)) {}
+      : value_(std::in_place_type<double>, static_cast<double>(i)) {}
+  JsonValue(const char* s) : JsonValue(std::string(s)) {}            // NOLINT
+  JsonValue(std::string s);                                           // NOLINT
   JsonValue(JsonArray a);                                             // NOLINT
   JsonValue(JsonObject o);                                            // NOLINT
 
-  Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
-  bool is_bool() const { return type_ == Type::kBool; }
-  bool is_number() const { return type_ == Type::kNumber; }
-  bool is_string() const { return type_ == Type::kString; }
-  bool is_array() const { return type_ == Type::kArray; }
-  bool is_object() const { return type_ == Type::kObject; }
+  Type type() const { return static_cast<Type>(value_.index()); }
+  bool is_null() const { return type() == Type::kNull; }
+  bool is_bool() const { return type() == Type::kBool; }
+  bool is_number() const { return type() == Type::kNumber; }
+  bool is_string() const { return type() == Type::kString; }
+  bool is_array() const { return type() == Type::kArray; }
+  bool is_object() const { return type() == Type::kObject; }
 
   // Typed accessors; throw JsonError on type mismatch.
   bool AsBool() const;
@@ -70,8 +78,10 @@ class JsonValue {
   std::string GetString(const std::string& key, const std::string& fallback) const;
 
   // Serializes compactly (no whitespace). `indent` > 0 pretty-prints.
-  // Integers below 1e15 print without a fraction; other numbers print the
-  // bytes printf's "%.17g" gives, which parse back to the same double.
+  // Integers below 1e15 print without a fraction; every other number
+  // prints the bytes printf's "%.17g" gives, which parse back to the same
+  // double. Numbers of magnitude in [1e-11, 1e17) take an exact integer
+  // path; the rest go through std::to_chars.
   std::string Dump(int indent = 0) const;
 
   // Parses a complete JSON document; throws JsonError on malformed input:
@@ -79,18 +89,19 @@ class JsonValue {
   // containers nested deeper than 64.
   static JsonValue Parse(const std::string& text);
 
+  // Deep equality: containers and strings compare by content.
   bool operator==(const JsonValue& other) const;
 
  private:
   void DumpTo(std::string& out, int indent, int depth) const;
 
-  Type type_;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  std::shared_ptr<JsonArray> array_;
-  std::shared_ptr<JsonObject> object_;
+  // The alternatives are listed in Type order, so index() is the Type.
+  std::variant<std::monostate, bool, double, std::shared_ptr<const std::string>,
+               std::shared_ptr<JsonArray>, std::shared_ptr<JsonObject>>
+      value_;
 };
+
+static_assert(sizeof(JsonValue) <= 24, "JsonValue must stay 24 bytes");
 
 // Escapes a string for embedding in JSON output (adds surrounding quotes).
 std::string JsonEscape(const std::string& raw);

@@ -6,8 +6,9 @@
 // These keep the pre-optimization code shape on purpose: numbers written
 // with snprintf("%.17g"), numbers read by strtod over a substr copy, a
 // permissive number scan, and the bytewise table CRC. The production code
-// (util/json.cpp with std::to_chars / std::from_chars, util/io.cpp with
-// slicing-by-8) must match them byte for byte and bit for bit.
+// (util/json.cpp with its exact integer writer, std::to_chars and
+// std::from_chars, util/io.cpp with slicing-by-8) must match them byte
+// for byte and bit for bit.
 //
 // Header-only and test/bench-scoped: nothing under src/ outside this
 // directory may include it.

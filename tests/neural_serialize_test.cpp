@@ -238,5 +238,80 @@ TEST(NeuralSerialize, RejectsCorruptDocuments) {
       jarvis::util::JsonError);
 }
 
+Network LoadText(const std::string& text) {
+  return FromJsonString(text, Loss::kMeanSquaredError,
+                        std::make_unique<Adam>(0.005), jarvis::util::Rng(0));
+}
+
+// A one-layer network document with the given weights and biases objects.
+std::string OneLayerDocument(const std::string& weights,
+                             const std::string& biases,
+                             const std::string& activation = "relu") {
+  return R"({"input_features":4,"layers":[{"activation":")" + activation +
+         R"(","weights":)" + weights + R"(,"biases":)" + biases + "}]}";
+}
+
+TEST(NeuralSerialize, TensorShapeProductIsChecked) {
+  // 2^32 x 2^32 wraps to 0 in size_t: unchecked, an empty "data" matched
+  // it and gave a tensor claiming 2^64 elements over no storage.
+  EXPECT_THROW(TensorFromJson(jarvis::util::JsonValue::Parse(
+                   R"({"rows":4294967296,"cols":4294967296,"data":[]})")),
+               jarvis::util::JsonError);
+  EXPECT_THROW(LoadText(OneLayerDocument(
+                   R"({"rows":4294967296,"cols":4294967296,"data":[]})",
+                   R"({"rows":1,"cols":1,"data":[0]})")),
+               jarvis::util::JsonError);
+}
+
+TEST(NeuralSerialize, HostileShapesAreRejectedBeforeAnyAllocation) {
+  // A few hundred bytes asking for a 4 x 2^40 hidden layer. Building the
+  // network from the widths before checking the data would throw
+  // bad_alloc (32 TiB); the document is rejected as malformed instead.
+  const std::string huge = OneLayerDocument(
+      R"({"rows":4,"cols":1099511627776,"data":[]})",
+      R"({"rows":1,"cols":1099511627776,"data":[]})");
+  EXPECT_LT(huge.size(), 200u);
+  EXPECT_THROW(LoadText(huge), jarvis::util::JsonError);
+
+  const std::string ok_biases = R"({"rows":1,"cols":1,"data":[0]})";
+  const std::string ok_weights = R"({"rows":4,"cols":1,"data":[1,2,3,4]})";
+  EXPECT_NO_THROW(LoadText(OneLayerDocument(ok_weights, ok_biases)));
+  for (const std::string& text : {
+           // weights.rows differs from input_features (data consistent).
+           OneLayerDocument(R"({"rows":2,"cols":2,"data":[1,2,3,4]})",
+                            R"({"rows":1,"cols":2,"data":[0,0]})"),
+           // Biases not 1 x units.
+           OneLayerDocument(ok_weights, R"({"rows":1,"cols":2,"data":[0,0]})"),
+           OneLayerDocument(ok_weights, R"({"rows":2,"cols":1,"data":[0,0]})"),
+           // A zero-unit layer.
+           OneLayerDocument(R"({"rows":4,"cols":0,"data":[]})",
+                            R"({"rows":1,"cols":0,"data":[]})"),
+           // An activation the library does not know.
+           OneLayerDocument(ok_weights, ok_biases, "swish"),
+           // No layers; no inputs.
+           std::string(R"({"input_features":4,"layers":[]})"),
+           std::string(R"({"input_features":0,"layers":[{"activation":"relu",)"
+                       R"("weights":{"rows":0,"cols":1,"data":[]},)"
+                       R"("biases":{"rows":1,"cols":1,"data":[0]}}]})"),
+       }) {
+    EXPECT_THROW(LoadText(text), jarvis::util::JsonError) << text;
+  }
+
+  // A second layer whose rows do not chain from the first's units.
+  Network network = MakeNetwork(11);
+  jarvis::util::JsonValue doc = ToJson(network);
+  jarvis::util::JsonObject& second =
+      doc.MutableObject()["layers"].MutableArray()[1].MutableObject();
+  jarvis::util::JsonObject& weights = second["weights"].MutableObject();
+  const std::int64_t rows = weights["rows"].AsInt();
+  const std::int64_t cols = weights["cols"].AsInt();
+  weights["rows"] = jarvis::util::JsonValue(cols);
+  weights["cols"] = jarvis::util::JsonValue(rows);
+  second["biases"] = TensorToJson(Tensor(1, static_cast<std::size_t>(rows)));
+  EXPECT_THROW(FromJson(doc, Loss::kMeanSquaredError,
+                        std::make_unique<Adam>(0.005), jarvis::util::Rng(0)),
+               jarvis::util::JsonError);
+}
+
 }  // namespace
 }  // namespace jarvis::neural

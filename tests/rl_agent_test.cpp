@@ -302,6 +302,32 @@ TEST_F(AgentFixture, AgentLoadRejectsHostileDocumentsUnchanged) {
       util::JsonValue(std::numeric_limits<double>::infinity());
   EXPECT_THROW(agent.LoadJson(loss_nan), util::JsonError);
 
+  // Hostile network documents: a wrapping 2^32 x 2^32 shape, a huge
+  // hidden layer with no data, weights that do not chain from the previous
+  // layer, and biases that are not 1 x units.
+  const auto with_layer_tensor = [&good](std::size_t layer, const char* key,
+                                         const std::string& tensor) {
+    util::JsonValue doc = good;
+    doc.MutableObject()["network"]
+        .MutableObject()["layers"]
+        .MutableArray()[layer]
+        .MutableObject()[key] = util::JsonValue::Parse(tensor);
+    return doc;
+  };
+  EXPECT_THROW(agent.LoadJson(with_layer_tensor(
+                   0, "weights",
+                   R"({"rows":4294967296,"cols":4294967296,"data":[]})")),
+               util::JsonError);
+  EXPECT_THROW(agent.LoadJson(with_layer_tensor(
+                   0, "weights", R"({"rows":4,"cols":1099511627776,"data":[]})")),
+               util::JsonError);
+  EXPECT_THROW(agent.LoadJson(with_layer_tensor(
+                   1, "weights", R"({"rows":2,"cols":2,"data":[0,0,0,0]})")),
+               util::JsonError);
+  EXPECT_THROW(agent.LoadJson(with_layer_tensor(
+                   0, "biases", R"({"rows":1,"cols":1,"data":[0]})")),
+               util::JsonError);
+
   // A checkpoint from a differently-shaped home must be rejected before any
   // state is replaced.
   DqnAgent narrow(3, codec_, config);

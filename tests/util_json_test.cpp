@@ -143,6 +143,102 @@ TEST(Json, CopyOnWriteMutationDoesNotAliasShares) {
   EXPECT_EQ(b.AsArray().size(), 2u);
 }
 
+TEST(JsonValueSemantics, CopiesShareContainersUntilMutated) {
+  JsonObject fields;
+  fields["k"] = JsonValue(1);
+  const JsonValue array(JsonArray{JsonValue(1), JsonValue("s")});
+  const JsonValue object(std::move(fields));
+
+  // A plain copy shares the container node.
+  const JsonValue array_copy = array;
+  const JsonValue object_copy = object;
+  EXPECT_EQ(&array_copy.AsArray(), &array.AsArray());
+  EXPECT_EQ(&object_copy.AsObject(), &object.AsObject());
+
+  // Writing through a copy clones first; the original keeps its contents.
+  JsonValue array_writer = array;
+  array_writer.MutableArray()[0] = JsonValue(7);
+  array_writer.MutableArray().push_back(JsonValue());
+  EXPECT_NE(&array_writer.AsArray(), &array.AsArray());
+  EXPECT_EQ(array.Dump(), R"([1,"s"])");
+  EXPECT_EQ(array_writer.Dump(), R"([7,"s",null])");
+
+  JsonValue object_writer = object;
+  object_writer.MutableObject()["k"] = JsonValue(2);
+  object_writer.MutableObject()["new"] = JsonValue(true);
+  EXPECT_EQ(object.Dump(), R"({"k":1})");
+  EXPECT_EQ(object_writer.Dump(), R"({"k":2,"new":true})");
+
+  // Nested: mutating an inner container through a copy of the outer one
+  // leaves the original's inner container alone.
+  const JsonValue outer(JsonArray{array});
+  JsonValue outer_writer = outer;
+  outer_writer.MutableArray()[0].MutableArray().clear();
+  EXPECT_EQ(outer.Dump(), R"([[1,"s"]])");
+  EXPECT_EQ(outer_writer.Dump(), "[[]]");
+
+  // A sole owner mutates in place.
+  JsonValue sole(JsonArray{JsonValue(1)});
+  const JsonArray* before = &sole.AsArray();
+  sole.MutableArray().push_back(JsonValue(2));
+  EXPECT_EQ(&sole.AsArray(), before);
+}
+
+TEST(JsonValueSemantics, TypeAndEqualityForEveryKind) {
+  JsonObject fields;
+  fields["a"] = JsonValue(1);
+  const std::vector<JsonValue> values = {
+      JsonValue(),
+      JsonValue(false),
+      JsonValue(true),
+      JsonValue(0.0),
+      JsonValue(2.5),
+      JsonValue(""),
+      JsonValue("text"),
+      JsonValue(JsonArray{}),
+      JsonValue(JsonArray{JsonValue(1), JsonValue("x")}),
+      JsonValue(JsonObject{}),
+      JsonValue(fields)};
+  const std::vector<JsonValue::Type> types = {
+      JsonValue::Type::kNull,   JsonValue::Type::kBool,
+      JsonValue::Type::kBool,   JsonValue::Type::kNumber,
+      JsonValue::Type::kNumber, JsonValue::Type::kString,
+      JsonValue::Type::kString, JsonValue::Type::kArray,
+      JsonValue::Type::kArray,  JsonValue::Type::kObject,
+      JsonValue::Type::kObject};
+  ASSERT_EQ(values.size(), types.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(values[i].type(), types[i]) << i;
+    for (std::size_t j = 0; j < values.size(); ++j) {
+      EXPECT_EQ(values[i] == values[j], i == j) << i << " vs " << j;
+    }
+    // Equality is by content, not by shared node: a reparse is equal.
+    EXPECT_EQ(JsonValue::Parse(values[i].Dump()), values[i]) << i;
+  }
+  EXPECT_TRUE(JsonValue(1) == JsonValue(1.0));
+  EXPECT_TRUE(JsonValue(std::int64_t{3}) == JsonValue(3.0));
+  EXPECT_TRUE(JsonValue(-0.0) == JsonValue(0.0));
+  EXPECT_FALSE(JsonValue(std::nan("")) == JsonValue(std::nan("")));
+  EXPECT_FALSE(JsonValue(0) == JsonValue(false));
+  EXPECT_FALSE(JsonValue("1") == JsonValue(1));
+  EXPECT_TRUE(JsonValue("abc") == JsonValue(std::string("abc")));
+}
+
+TEST(JsonValueSemantics, OneMebibyteFlatArrayParses) {
+  // "[0,0,...,0]" with 2^19 zeros: 1 MiB of text and one byte over,
+  // about the serve frame cap, at one value per two bytes.
+  std::string text = "[";
+  constexpr std::size_t kElements = 524288;
+  text.reserve(2 * kElements + 1);
+  for (std::size_t i = 0; i < kElements; ++i) text += i == 0 ? "0" : ",0";
+  text += "]";
+  ASSERT_EQ(text.size(), (std::size_t{1} << 20) + 1);
+  const JsonValue doc = JsonValue::Parse(text);
+  ASSERT_EQ(doc.AsArray().size(), kElements);
+  EXPECT_EQ(doc.AsArray().back(), JsonValue(0));
+  EXPECT_EQ(doc.Dump(), text);
+}
+
 // Every value must Dump to the "%.17g"-era bytes and parse back to the
 // same bits. -0.0 takes the integer branch ("0"), as it always has, so it
 // comes back as +0.0.
@@ -214,6 +310,96 @@ TEST(JsonNumbers, RandomBitPatternsMatchTheReferenceWriterAndReader) {
     if (!std::isfinite(v)) continue;
     chunk.push_back(v);
     ++produced;
+    if (chunk.size() == kChunk) {
+      ExpectExactRoundTrip(chunk);
+      if (HasFatalFailure()) return;
+      chunk.clear();
+    }
+  }
+  ExpectExactRoundTrip(chunk);
+}
+
+// Appends v, its negation, and `steps` nextafter neighbours on each side.
+void AddWithNeighbours(std::vector<double>& out, double v, int steps) {
+  double below = v;
+  double above = v;
+  for (int i = 0; i < steps; ++i) {
+    below = std::nextafter(below, 0.0);
+    above = std::nextafter(above, HUGE_VAL);
+  }
+  for (double x = below; x <= above; x = std::nextafter(x, HUGE_VAL)) {
+    out.push_back(x);
+    out.push_back(-x);
+  }
+}
+
+TEST(JsonNumbers, GeneralFormatBoundariesMatchTheReferenceWriter) {
+  std::vector<double> values;
+  // "%g" switches to exponent form below 1e-4 and at 1e17 and above;
+  // 9.9999999999999995e-5 is the largest double that prints in it.
+  for (double v : {1e-5, 9.9999999999999995e-5, 1e-4, 1e16, 1e17}) {
+    AddWithNeighbours(values, v, 4);
+  }
+  // The exact path covers about [1e-11, 1e17): both edges, and every
+  // power of ten and of two in and around it, where the decimal exponent
+  // estimate changes.
+  for (int e = -13; e <= 19; ++e) AddWithNeighbours(values, std::pow(10.0, e), 3);
+  for (int e = -45; e <= 60; ++e) AddWithNeighbours(values, std::ldexp(1.0, e), 2);
+  for (double v : {1e-11, 9.9999999999999998e-12, 1.0000000000000001e-11,
+                   99999999999999984.0, 99999999999999992.0,
+                   9.9999999999999995e16, 9.999999999999999e-5}) {
+    AddWithNeighbours(values, v, 2);
+  }
+  ExpectExactRoundTrip(values);
+  EXPECT_EQ(JsonValue(1e-5).Dump(), "1.0000000000000001e-05");
+  EXPECT_EQ(JsonValue(9.9999999999999995e-5).Dump(), "9.9999999999999991e-05");
+  EXPECT_EQ(JsonValue(1e-4).Dump(), "0.0001");
+  EXPECT_EQ(JsonValue(1e16).Dump(), "10000000000000000");
+  EXPECT_EQ(JsonValue(-1e16).Dump(), "-10000000000000000");
+  EXPECT_EQ(JsonValue(0.5).Dump(), "0.5");
+  EXPECT_EQ(JsonValue(-0.1).Dump(), "-0.10000000000000001");
+  EXPECT_EQ(JsonValue(1e-11).Dump(), "9.9999999999999994e-12");
+}
+
+TEST(JsonNumbers, ExactTiesAtTheEighteenthDigitRoundHalfToEven) {
+  // Doubles whose exact decimal expansion has 18 significant digits
+  // ending in 5: the 17-digit result is a tie, and "%.17g" rounds it to
+  // the even neighbour.
+  std::vector<double> values = {1000000000000000.25, 1000000000000000.75,
+                                100000000000000.125, 100000000000000.375,
+                                100000000000000.625, 100000000000000.875};
+  Rng rng(20261020);
+  for (int i = 0; i < 2000; ++i) {
+    // [1e15, 2^51): ulp 1/8 or 1/4, so .25 and .75 are exact ties.
+    const double whole = std::floor(rng.NextUniform(1e15, 2251799813685248.0));
+    values.push_back(whole + (i % 2 == 0 ? 0.25 : 0.75));
+    // [2^47, 1e15): ulp <= 1/8, so odd eighths are exact ties.
+    const double smaller =
+        std::floor(rng.NextUniform(140737488355328.0, 999999999999999.0));
+    values.push_back(smaller + 0.125 * static_cast<double>(2 * (i % 4) + 1));
+  }
+  const std::size_t positives = values.size();
+  for (std::size_t i = 0; i < positives; ++i) values.push_back(-values[i]);
+  ExpectExactRoundTrip(values);
+  EXPECT_EQ(JsonValue(1000000000000000.25).Dump(), "1000000000000000.2");
+  EXPECT_EQ(JsonValue(1000000000000000.75).Dump(), "1000000000000000.8");
+  EXPECT_EQ(JsonValue(-100000000000000.125).Dump(), "-100000000000000.12");
+}
+
+TEST(JsonNumbers, LogUniformMagnitudesMatchTheReferenceWriterAndReader) {
+  // Uniform bit patterns rarely land in the exact path's range; these
+  // cover 1e-14 .. 1e20 evenly per decade, both signs, full mantissas.
+  Rng rng(20261021);
+  constexpr int kValues = 1 << 20;
+  constexpr int kChunk = 4096;
+  std::vector<double> chunk;
+  chunk.reserve(kChunk);
+  for (int produced = 0; produced < kValues; ++produced) {
+    const double magnitude = std::pow(10.0, rng.NextUniform(-14.0, 20.0));
+    const auto bits = std::bit_cast<std::uint64_t>(magnitude) ^
+                      (rng.NextU64() & ((std::uint64_t{1} << 20) - 1));
+    const double v = std::bit_cast<double>(bits);
+    chunk.push_back(produced % 2 == 0 ? v : -v);
     if (chunk.size() == kChunk) {
       ExpectExactRoundTrip(chunk);
       if (HasFatalFailure()) return;
