@@ -94,6 +94,8 @@ inline util::JsonValue MachineJson() {
   machine["build_type"] = JARVIS_BENCH_BUILD_TYPE;
   machine["avx2"] =
       neural::kernels::WidthSupported(neural::kernels::Width::kAvx2);
+  machine["avx512"] =
+      neural::kernels::WidthSupported(neural::kernels::Width::kAvx512);
   machine["kernel_width"] =
       neural::kernels::WidthName(neural::kernels::BestWidth());
   return util::JsonValue(std::move(machine));

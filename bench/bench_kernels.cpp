@@ -7,11 +7,12 @@
 // for every intermediate, and a per-row PredictOne for the replay
 // bootstrap. "New" is the production path: the register-tiled GEMM
 // micro-kernel at the CPU's widest width, reusable scratch tensors (zero
-// steady-state allocations), a statically dispatched activation switch,
-// and one batched bootstrap forward per replay. The two paths produce
-// bit-identical numbers (tests/neural_kernels_test.cpp pins this), so the
-// A/B isolates pure kernel and allocation cost. The gemm_* cases force
-// one kernel width each (avx2, baseline) against the naive reference.
+// steady-state allocations), the layer's bias and ReLU applied in the
+// kernel's store, and one batched bootstrap forward per replay. The two
+// paths produce bit-identical numbers (tests/neural_kernels_test.cpp pins
+// this), so the A/B isolates pure kernel and allocation cost. The gemm_*
+// cases force one kernel width each (avx512, avx2, baseline) against the
+// naive reference.
 //
 // The serialization cases A/B the checkpoint codec against
 // util::testing's reference codec on a trained DQN's checkpoint section:
@@ -358,7 +359,8 @@ int main(int argc, char** argv) {
       const int iters = std::max(
           2, static_cast<int>(4e6 * scale /
                               static_cast<double>(shape.batch * macs_per_row)));
-      for (const auto width : {neural::kernels::Width::kAvx2,
+      for (const auto width : {neural::kernels::Width::kAvx512,
+                               neural::kernels::Width::kAvx2,
                                neural::kernels::Width::kBaseline}) {
         if (!neural::kernels::WidthSupported(width)) continue;
         if (run_tiled(width).data() != expected.data()) {
@@ -374,8 +376,10 @@ int main(int argc, char** argv) {
                       std::to_string(shape.batch) + "_" +
                       neural::kernels::WidthName(width);
         result.unit = "rows/sec";
-        result.requires_isa =
-            width == neural::kernels::Width::kAvx2 ? "avx2" : "";
+        // The machine block names each feature after its width.
+        result.requires_isa = width == neural::kernels::Width::kBaseline
+                                  ? ""
+                                  : neural::kernels::WidthName(width);
         result.old_per_sec = iters * static_cast<double>(shape.batch) / t.old_s;
         result.new_per_sec = iters * static_cast<double>(shape.batch) / t.new_s;
         PrintCase(result);

@@ -22,7 +22,8 @@ Tensor Apply(Activation act, const Tensor& pre_activation);
 
 // In-place, statically dispatched activation kernel: one switch per tensor,
 // then a tight loop with the scalar function inlined — no std::function
-// indirection per element. The hot-path entry point (DenseLayer forward).
+// indirection per element. DenseLayer's forward runs it for sigmoid and
+// tanh; ReLU and identity are applied inside kernels::GemmBias.
 void ApplyInPlace(Activation act, Tensor& tensor);
 
 // Derivative with respect to the pre-activation, expressed in terms of the

@@ -1,5 +1,5 @@
-// The numeric kernels under Tensor's products and the Adam update
-// (DESIGN.md §12).
+// The numeric kernels under Tensor's products, the dense layer forward and
+// the Adam update (DESIGN.md §12).
 //
 // One register-tiled micro-kernel computes C += A·B. Every element of C
 // adds its k-products in ascending k onto its current value, and no FMA is
@@ -7,10 +7,11 @@
 // tiling, or on how many rows share a call. That is the bit-identity
 // contract batched inference, replay and checkpoint parity rely on.
 //
-// The same kernel source is compiled twice: at 2 doubles per vector (the
-// baseline x86-64 / SSE2 build every CPU runs) and at 4 doubles per vector
-// under __attribute__((target("avx2"))). Each call picks the widest width
-// the CPU supports (BestWidth); tests and benches may force either.
+// The same kernel source is compiled three times: at 2 doubles per vector
+// (the baseline x86-64 / SSE2 build every CPU runs), at 4 under
+// __attribute__((target("avx2"))) and at 8 under
+// __attribute__((target("avx512f"))). Each call picks the widest width the
+// CPU supports (BestWidth); tests and benches may force any of them.
 #pragma once
 
 #include <cstddef>
@@ -20,6 +21,7 @@ namespace jarvis::neural::kernels {
 enum class Width {
   kBaseline,  // 2 doubles per vector: every x86-64 CPU, and non-x86 builds
   kAvx2,      // 4 doubles per vector: CPUs with AVX2
+  kAvx512,    // 8 doubles per vector: CPUs with AVX-512F
 };
 
 const char* WidthName(Width width);
@@ -44,6 +46,24 @@ struct StridedOperand {
 void GemmAccumulate(Width width, std::size_t m, std::size_t n, std::size_t k,
                     StridedOperand a, const double* b, std::size_t ldb,
                     double* c, std::size_t ldc);
+
+// What GemmBias does to each element once its bias is added.
+enum class Epilogue {
+  kIdentity,  // keep x
+  kRelu,      // x > 0.0 ? x : 0.0 (NaN and -0.0 give +0.0)
+};
+
+// The dense layer forward in one pass: c (m x n, row stride ldc) =
+// epilogue(a · b + bias), bias a row of n. Element (i, j) starts at +0.0
+// in a register, adds its rounded products in ascending k as
+// GemmAccumulate does, then adds bias[j] and applies the epilogue. c is
+// only written, so the result is bit for bit a zeroed c, GemmAccumulate,
+// a row-broadcast bias add and the activation pass. c must not overlap a,
+// b or bias.
+void GemmBias(Width width, Epilogue epilogue, std::size_t m, std::size_t n,
+              std::size_t k, StridedOperand a, const double* b,
+              std::size_t ldb, const double* bias, double* c,
+              std::size_t ldc);
 
 // One Adam update over n parameters, lane by lane:
 //   m = beta1·m + (1 − beta1)·g

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "neural/kernels.h"
 #include "util/check.h"
 
 namespace jarvis::neural {
@@ -28,17 +29,28 @@ DenseLayer::DenseLayer(std::size_t in_features, std::size_t out_features,
 
 const Tensor& DenseLayer::Forward(const Tensor& input) {
   cached_input_ = input;  // copy-assign reuses capacity: no steady-state alloc
-  input.MatMulInto(weights_, cached_output_);
-  cached_output_.AddRowBroadcastInPlace(biases_);
-  ApplyInPlace(activation_, cached_output_);
+  InferInto(input, cached_output_);
   has_cache_ = true;
   return cached_output_;
 }
 
 void DenseLayer::InferInto(const Tensor& input, Tensor& out) const {
-  input.MatMulInto(weights_, out);
-  out.AddRowBroadcastInPlace(biases_);
-  ApplyInPlace(activation_, out);
+  JARVIS_CHECK_EQ(input.cols(), weights_.rows(), "DenseLayer: input ",
+                  input.ShapeString(), " for weights ",
+                  weights_.ShapeString());
+  JARVIS_DCHECK(&out != &input, "DenseLayer::InferInto: out aliases input");
+  const std::size_t units = weights_.cols();
+  out.Resize(input.rows(), units);
+  // One kernel pass: products from +0.0, the bias, and ReLU or identity in
+  // the store. Sigmoid and tanh keep their pass over the stored sums.
+  const bool relu = activation_ == Activation::kRelu;
+  kernels::GemmBias(
+      kernels::BestWidth(),
+      relu ? kernels::Epilogue::kRelu : kernels::Epilogue::kIdentity,
+      input.rows(), units, input.cols(), {input.data().data(), input.cols(), 1},
+      weights_.data().data(), units, biases_.data().data(),
+      out.mutable_data().data(), units);
+  if (!relu) ApplyInPlace(activation_, out);
 }
 
 const Tensor& DenseLayer::Backward(const Tensor& grad_output) {

@@ -184,21 +184,17 @@ void Tensor::MapInPlace(const std::function<double(double)>& f) {
 }
 
 Tensor Tensor::AddRowBroadcast(const Tensor& row) const {
-  Tensor out = *this;
-  out.AddRowBroadcastInPlace(row);
-  return out;
-}
-
-void Tensor::AddRowBroadcastInPlace(const Tensor& row) {
   JARVIS_CHECK(row.rows_ == 1 && row.cols_ == cols_,
-               "Tensor::AddRowBroadcastInPlace: shape mismatch: ",
-               ShapeString(), " vs ", row.ShapeString());
+               "Tensor::AddRowBroadcast: shape mismatch: ", ShapeString(),
+               " vs ", row.ShapeString());
+  Tensor out = *this;
   for (std::size_t r = 0; r < rows_; ++r) {
-    double* out_row = &data_[r * cols_];
+    double* out_row = &out.data_[r * cols_];
     for (std::size_t c = 0; c < cols_; ++c) {
       out_row[c] += row.data_[c];
     }
   }
+  return out;
 }
 
 Tensor Tensor::SumRows() const {

@@ -124,9 +124,9 @@ class Tensor {
   Tensor Map(const std::function<double(double)>& f) const;
   void MapInPlace(const std::function<double(double)>& f);
 
-  // Adds a 1xC row vector to every row (bias broadcast).
+  // Adds a 1xC row vector to every row (bias broadcast; the layer forward
+  // does this inside kernels::GemmBias).
   Tensor AddRowBroadcast(const Tensor& row) const;
-  void AddRowBroadcastInPlace(const Tensor& row);
   // Column-wise sum producing a 1xC row vector (bias gradient reduce).
   Tensor SumRows() const;
   // out += column-wise sums, accumulating rows in ascending order (the bias-

@@ -79,9 +79,9 @@ double BiasCorrection(double beta, long step) {
 }
 
 // ---------------------------------------------------------------------------
-// The tiled micro-kernel at each vector width, called explicitly, so both
-// widths are pinned on every machine that can run them. A CPU without
-// AVX2 skips only the AVX2 instantiation.
+// The tiled micro-kernel at each vector width, called explicitly, so every
+// width is pinned on every machine that can run it. A CPU without AVX2 or
+// AVX-512F skips only the instantiations it cannot run.
 
 class KernelWidth : public ::testing::TestWithParam<kernels::Width> {
  protected:
@@ -107,16 +107,50 @@ class KernelWidth : public ::testing::TestWithParam<kernels::Width> {
                             b.data().data() + k0 * b.cols(), b.cols(),
                             out.mutable_data().data(), out.cols());
   }
+
+  // out (resized) = epilogue(a * b + bias) through GemmBias.
+  void MultiplyAddBias(const Tensor& a, const Tensor& b, const Tensor& bias,
+                       kernels::Epilogue epilogue, Tensor& out) const {
+    out.Resize(a.rows(), b.cols());
+    kernels::GemmBias(GetParam(), epilogue, a.rows(), b.cols(), a.cols(),
+                      {a.data().data(), a.cols(), 1}, b.data().data(),
+                      b.cols(), bias.data().data(),
+                      out.mutable_data().data(), out.cols());
+  }
 };
 
-// Every M mod 4 row tail and every column tail of both widths (panels of
-// 8 or 4 columns, then 4, 2 and scalar columns), with K = 1 and the empty
+// The separate passes GemmBias fuses: the textbook product, the bias
+// broadcast and the activation kernel.
+Tensor SeparatePasses(const Tensor& a, const Tensor& b, const Tensor& bias,
+                      Activation activation) {
+  Tensor expected = ReferenceMatMul(a, b).AddRowBroadcast(bias);
+  ApplyInPlace(activation, expected);
+  return expected;
+}
+
+struct EpilogueCase {
+  kernels::Epilogue epilogue;
+  Activation activation;
+  const char* name;
+};
+constexpr EpilogueCase kEpilogues[] = {
+    {kernels::Epilogue::kIdentity, Activation::kIdentity, "identity"},
+    {kernels::Epilogue::kRelu, Activation::kRelu, "relu"}};
+
+// Column widths that reach every column tail of every width: panels of
+// 16, 8 or 4 columns, then one 8-, 4- and 2-lane vector and a scalar
+// column as each width has them (n mod 16 of 8, 4, 2, 1 and 15 included;
+// 49 is the DQN's output width).
+constexpr std::size_t kTailWidths[] = {1,  2,  3,  4,  5,  6,  7,  8,  9,
+                                       10, 11, 12, 13, 14, 15, 16, 17, 18,
+                                       20, 23, 24, 28, 31, 33, 49, 64};
+
+// Every M mod 4 row tail and every column tail, with K = 1 and the empty
 // K = 0 product included.
 TEST_P(KernelWidth, EveryTailShapeMatchesReference) {
   util::Rng rng(101);
   for (std::size_t m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 13}) {
-    for (std::size_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 16,
-                          17, 49, 64}) {
+    for (std::size_t n : kTailWidths) {
       for (std::size_t k : {0, 1, 2, 5, 44}) {
         const Tensor a = RandomTensor(m, k, rng);
         const Tensor b = RandomTensor(k, n, rng);
@@ -134,7 +168,7 @@ TEST_P(KernelWidth, EveryTailShapeMatchesReference) {
 TEST_P(KernelWidth, StridedTransposeOperandMatchesReference) {
   util::Rng rng(103);
   for (std::size_t m : {1, 3, 4, 7, 44}) {
-    for (std::size_t n : {1, 5, 9, 64}) {
+    for (std::size_t n : {1, 5, 9, 15, 49, 64}) {
       const std::size_t k = 32;
       const Tensor a_t = RandomTensor(k, m, rng);  // A^T, row-major
       const Tensor b = RandomTensor(k, n, rng);
@@ -207,9 +241,81 @@ TEST_P(KernelWidth, AdamUpdateMatchesScalarLoop) {
   }
 }
 
+// GemmBias gives the doubles of the separate passes it replaces, for every
+// row and column tail, with a random and an all-zero bias row.
+TEST_P(KernelWidth, BiasEpilogueMatchesSeparatePasses) {
+  util::Rng rng(131);
+  for (const EpilogueCase& epilogue : kEpilogues) {
+    for (std::size_t m : {1, 2, 3, 4, 5, 7, 9}) {
+      for (std::size_t n : kTailWidths) {
+        for (std::size_t k : {1, 2, 5, 44}) {
+          const Tensor a = RandomTensor(m, k, rng);
+          const Tensor b = RandomTensor(k, n, rng);
+          for (const Tensor& bias : {RandomTensor(1, n, rng), Tensor(1, n)}) {
+            Tensor out;
+            MultiplyAddBias(a, b, bias, epilogue.epilogue, out);
+            ExpectBitEqual(out, SeparatePasses(a, b, bias, epilogue.activation),
+                           std::string(epilogue.name) +
+                               " m=" + std::to_string(m) +
+                               " n=" + std::to_string(n) +
+                               " k=" + std::to_string(k));
+          }
+        }
+      }
+    }
+  }
+}
+
+// NaN, +Inf and -Inf pre-activations pass the epilogue as the activation
+// pass treats them (ReLU: NaN and -Inf give +0.0), and products that are
+// all -0.0 plus a -0.0 or zero bias give +0.0: the accumulators start at
+// +0.0, not at the first product.
+TEST_P(KernelWidth, BiasEpilogueKeepsSpecialValues) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  util::Rng rng(137);
+  const std::size_t n = 31;  // a 16-column panel and every tail after it
+  Tensor a = RandomTensor(5, 3, rng);
+  Tensor b = RandomTensor(3, n, rng);
+  for (double& x : b.mutable_data()) x = std::fabs(x);
+  b.At(0, 6) = kInf;
+  a.At(0, 0) = 0.0;  // row 0: 0 x Inf in column 6
+  a.At(1, 0) = kInf;  // row 1: +Inf
+  for (std::size_t p = 0; p < 3; ++p) a.At(2, p) = -0.0;  // row 2: -0.0s
+  a.At(3, 2) = kNan;  // row 3: NaN
+  a.At(4, 0) = -kInf;  // row 4: -Inf
+  Tensor bias = RandomTensor(1, n, rng);
+  for (std::size_t j = 0; j < n; j += 2) bias.At(0, j) = -0.0;
+  for (const EpilogueCase& epilogue : kEpilogues) {
+    const bool relu = epilogue.activation == Activation::kRelu;
+    for (const Tensor& row : {bias, Tensor(1, n)}) {
+      Tensor out;
+      MultiplyAddBias(a, b, row, epilogue.epilogue, out);
+      ExpectBitEqual(out, SeparatePasses(a, b, row, epilogue.activation),
+                     epilogue.name);
+      EXPECT_EQ(std::isnan(out.At(0, 6)), !relu) << epilogue.name;
+      for (std::size_t j = 0; j < n; ++j) {
+        const std::string where =
+            std::string(epilogue.name) + " column " + std::to_string(j);
+        EXPECT_EQ(out.At(1, j), kInf) << where;
+        EXPECT_EQ(std::isnan(out.At(3, j)), !relu) << where;
+        EXPECT_EQ(out.At(4, j), relu ? 0.0 : -kInf) << where;
+        if (relu) {
+          EXPECT_FALSE(std::signbit(out.At(4, j))) << where;
+        }
+        if (j != 6 && row.At(0, j) == 0.0) {
+          EXPECT_EQ(out.At(2, j), 0.0) << where;
+          EXPECT_FALSE(std::signbit(out.At(2, j))) << where;
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Widths, KernelWidth,
                          ::testing::Values(kernels::Width::kBaseline,
-                                           kernels::Width::kAvx2),
+                                           kernels::Width::kAvx2,
+                                           kernels::Width::kAvx512),
                          [](const auto& info) {
                            return std::string(kernels::WidthName(info.param));
                          });
@@ -269,12 +375,23 @@ Network MakeDqnShapedNetwork(double lr, double momentum, std::uint64_t seed) {
 TEST(KernelParity, ForwardBitIdenticalToReferenceAcrossBatchSizes) {
   const Network network = MakeDqnShapedNetwork(0.01, 0.0, 47);
   const ReferenceModel reference = ReferenceModel::FromNetwork(network, 0.01);
+  // Sigmoid and tanh layers run their activation after the fused product.
+  const Network saturating(12,
+                           {{16, Activation::kTanh},
+                            {3, Activation::kSigmoid}},
+                           Loss::kBinaryCrossEntropy,
+                           std::make_unique<Sgd>(0.01), util::Rng(49));
+  const ReferenceModel saturating_reference =
+      ReferenceModel::FromNetwork(saturating, 0.01);
   util::Rng rng(48);
   for (std::size_t batch : {std::size_t{1}, std::size_t{8}, std::size_t{32},
                             std::size_t{128}}) {
     const Tensor input = RandomTensor(batch, 12, rng);
     ExpectBitEqual(network.Predict(input), reference.Predict(input),
                    "forward batch=" + std::to_string(batch));
+    ExpectBitEqual(saturating.Predict(input),
+                   saturating_reference.Predict(input),
+                   "tanh/sigmoid forward batch=" + std::to_string(batch));
   }
   // PredictOne rides the same kernels: row 0 of a 1-row batch.
   const Tensor one = RandomTensor(1, 12, rng);
