@@ -233,7 +233,7 @@ int main(int argc, char** argv) {
     for (const std::size_t batch : {1u, 8u, 32u, 128u}) {
       const Tensor input = RandomTensor(batch, kFeatureWidth, rng);
       // Sanity: the two paths agree bit-for-bit before we time them.
-      const Tensor check_new = network.Predict(input);
+      const Tensor check_new = network.PredictBatch(input);
       const Tensor check_old = reference.Predict(input);
       if (check_new.data() != check_old.data()) {
         std::printf("FATAL: forward parity mismatch at batch %zu\n", batch);
@@ -241,8 +241,9 @@ int main(int argc, char** argv) {
       }
       const int iters =
           scale * static_cast<int>(std::max<std::size_t>(8, 512 / batch));
+      neural::InferenceWorkspace workspace;
       const AbSeconds t =
-          MeasureAb(7, iters, [&] { network.PredictScratch(input); },
+          MeasureAb(7, iters, [&] { network.Predict(input, workspace); },
                     [&] { reference.Predict(input); });
       CaseResult result;
       result.name = "forward_b" + std::to_string(batch);

@@ -61,11 +61,8 @@ int Usage() {
       "  suggest  --policies FILE [--day N] [--minute M]\n"
       "  fleet    [--fleet N] [--jobs N] [--days N] [--episodes N] "
       "[--seed S]\n"
-      "           [--aggregate true] [--agg-max-batch N] "
-      "[--agg-deadline-us N]\n"
-      "           [--agg-autotune B] [--agg-fairness rr|fifo] "
-      "[--republish-episodes N]\n"
-      "           [--republish-ms N] [--republish-on-improvement B]\n"
+      "           [--republish-episodes N] [--republish-ms N] "
+      "[--republish-on-improvement B]\n"
       "  metrics  [--fleet N] [--jobs N] [--days N] [--episodes N] "
       "[--seed S] [--format json|csv] [--out FILE]\n"
       "  checkpoint --log FILE --out FILE [--day N] [--episodes N] "
@@ -249,10 +246,10 @@ int FleetRun(const util::Flags& flags) {
   config.fleet_seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
   config.tenant_config.trainer.episodes = flags.GetInt("episodes", 24);
 
-  // Streaming republish (DESIGN.md §16): with --republish-episodes N > 0
-  // (or the other cadences) each training tenant snapshots its live
-  // network through the funnel mid-run, so --aggregate serves policies
-  // that are at most N episodes stale instead of waiting for completion.
+  // Streaming republish (DESIGN.md §10): with --republish-episodes N > 0
+  // (or the other cadences) serving switches to a copy of each training
+  // tenant's live network mid-run, so suggestions ride policies at most N
+  // episodes stale instead of waiting for completion.
   rl::RepublishPolicy& republish = config.tenant_config.trainer.republish;
   republish.every_episodes = flags.GetInt("republish-episodes", 0);
   republish.every_ms = flags.GetInt("republish-ms", 0);
@@ -265,64 +262,16 @@ int FleetRun(const util::Flags& flags) {
   const fsm::EnvironmentFsm home = fsm::BuildFullHome();
   runtime::Fleet fleet(home, config);
 
-  // --aggregate: attach the cross-tenant inference funnel BEFORE training
-  // so a streaming republish policy has somewhere to publish from the
-  // first episodes; publish-on-completion still covers every tenant
-  // either way. Answers are bit-identical to the direct route, so this
-  // changes throughput, never output.
-  const bool aggregate = flags.GetBool("aggregate", false);
-  if (aggregate) {
-    runtime::AggregationConfig agg;
-    agg.max_batch =
-        static_cast<std::size_t>(flags.GetInt("agg-max-batch", 256));
-    agg.deadline_us = flags.GetInt("agg-deadline-us", 200);
-    agg.autotune = flags.GetBool("agg-autotune", false);
-    const std::string fairness = flags.GetString("agg-fairness", "rr");
-    if (fairness == "fifo") {
-      agg.fairness = runtime::DrainFairness::kFifo;
-    } else if (fairness == "rr") {
-      agg.fairness = runtime::DrainFairness::kRoundRobin;
-    } else {
-      std::fprintf(stderr, "error: --agg-fairness must be rr or fifo\n");
-      return 2;
-    }
-    fleet.EnableAggregation(agg);
-  }
-
   const runtime::FleetReport report =
       fleet.Run(runtime::SimulatedWorkloadFactory(home, workload));
 
-  // With the funnel attached, route a fleet-wide suggestion sweep through
-  // it and print the coalescing + republish evidence.
-  if (aggregate) {
-    sim::ResidentSimulator resident(home, sim::ThermalConfig{},
-                                    config.fleet_seed);
-    const fsm::StateVector overnight = resident.OvernightState();
-    std::vector<int> minutes;
-    for (int minute = 0; minute < util::kMinutesPerDay; minute += 15) {
-      minutes.push_back(minute);
-    }
-    for (const auto& tenant : report.tenants) {
-      if (tenant.quarantined) continue;
-      fleet.SuggestMinutes(tenant.tenant, overnight, minutes);
-    }
-    const runtime::AggregationStats agg_stats = fleet.aggregator()->stats();
-    std::printf(
-        "aggregation: %llu queries -> %llu GEMMs (%llu rows, max batch "
-        "%llu), %llu rejected\n",
-        static_cast<unsigned long long>(agg_stats.answered_queries),
-        static_cast<unsigned long long>(agg_stats.gemm_batches),
-        static_cast<unsigned long long>(agg_stats.rows_inferred),
-        static_cast<unsigned long long>(agg_stats.max_gemm_rows),
-        static_cast<unsigned long long>(agg_stats.rejected_queries));
-    std::printf(
-        "aggregation: %llu weight versions published (%s), effective max "
-        "batch %llu (autotune +%llu/-%llu)\n",
-        static_cast<unsigned long long>(agg_stats.weights_published),
-        republish.enabled() ? "streaming + completion" : "completion only",
-        static_cast<unsigned long long>(agg_stats.current_max_batch),
-        static_cast<unsigned long long>(agg_stats.autotune_raises),
-        static_cast<unsigned long long>(agg_stats.autotune_lowers));
+  if (republish.enabled()) {
+    std::printf("republish: %llu serving snapshots published mid-run\n",
+                static_cast<unsigned long long>(
+                    fleet.Metrics()
+                        .GetCounter("runtime.fleet.republishes",
+                                    obs::Determinism::kTiming)
+                        ->Value()));
   }
 
   for (const auto& tenant : report.tenants) {

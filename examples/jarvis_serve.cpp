@@ -42,13 +42,6 @@ int Usage() {
       "  --days N           simulated learning days (default 2)\n"
       "  --workers N        serving worker threads (default 2)\n"
       "  --queue N          admission queue capacity (default 8)\n"
-      "  --aggregate B      cross-tenant inference aggregation (default "
-      "true)\n"
-      "  --agg-max-batch N  aggregation flush batch bound (default 256)\n"
-      "  --agg-deadline-us N  aggregation flush deadline (default 200)\n"
-      "  --agg-autotune B   histogram-driven max_batch autotuner (default "
-      "false)\n"
-      "  --agg-fairness M   drain order: rr | fifo (default rr)\n"
       "  --republish-episodes N  stream weights every N training episodes "
       "(default 4, 0 = off)\n"
       "  --republish-ms N   stream weights every N ms of training (default "
@@ -69,10 +62,10 @@ int Run(const util::Flags& flags) {
   config.fleet_seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
   config.tenant_config.trainer.episodes = flags.GetInt("episodes", 6);
 
-  // Streaming republish (DESIGN.md §16): while a tenant trains, its live
-  // network is snapshotted through the funnel every N episodes, so the
-  // daemon serves a policy at most N episodes stale instead of waiting for
-  // the whole training pass.
+  // Streaming republish (DESIGN.md §10): while a tenant trains, serving
+  // switches to a copy of its live network every N episodes, so the daemon
+  // serves a policy at most N episodes stale instead of waiting for the
+  // whole training pass.
   rl::RepublishPolicy& republish = config.tenant_config.trainer.republish;
   republish.every_episodes = flags.GetInt("republish-episodes", 4);
   republish.every_ms = flags.GetInt("republish-ms", 0);
@@ -85,38 +78,6 @@ int Run(const util::Flags& flags) {
   const fsm::EnvironmentFsm home = fsm::BuildFullHome();
   runtime::Fleet fleet(home, config);
 
-  // Cross-tenant inference aggregation (DESIGN.md §16): suggestion
-  // handlers coalesce into shared batched GEMMs. On by default — the
-  // answers are bit-identical either way — and `--aggregate false` keeps
-  // the per-tenant direct route for A/B runs. Attached BEFORE the training
-  // run so the republish policy has a funnel to stream into from the very
-  // first episodes.
-  if (flags.GetBool("aggregate", true)) {
-    runtime::AggregationConfig agg;
-    agg.max_batch =
-        static_cast<std::size_t>(flags.GetInt("agg-max-batch", 256));
-    agg.deadline_us = flags.GetInt("agg-deadline-us", 200);
-    agg.autotune = flags.GetBool("agg-autotune", false);
-    const std::string fairness = flags.GetString("agg-fairness", "rr");
-    if (fairness == "fifo") {
-      agg.fairness = runtime::DrainFairness::kFifo;
-    } else if (fairness == "rr") {
-      agg.fairness = runtime::DrainFairness::kRoundRobin;
-    } else {
-      std::fprintf(stderr, "error: --agg-fairness must be rr or fifo\n");
-      return 2;
-    }
-    fleet.EnableAggregation(agg);
-    std::fprintf(stderr,
-                 "jarvis_serve: aggregation on (max_batch %zu, deadline "
-                 "%lld us, fairness %s, autotune %s, republish every %d "
-                 "episodes / %lld ms)\n",
-                 agg.max_batch, static_cast<long long>(agg.deadline_us),
-                 fairness.c_str(), agg.autotune ? "on" : "off",
-                 republish.every_episodes,
-                 static_cast<long long>(republish.every_ms));
-  }
-
   std::fprintf(stderr, "jarvis_serve: training %zu tenants...\n",
                config.tenants);
   const runtime::FleetReport report =
@@ -124,14 +85,6 @@ int Run(const util::Flags& flags) {
   std::fprintf(stderr,
                "jarvis_serve: fleet ready (%zu completed, %zu quarantined)\n",
                report.completed, report.quarantined);
-  if (const auto aggregator = fleet.aggregator(); aggregator != nullptr) {
-    const runtime::AggregationStats stats = aggregator->stats();
-    std::fprintf(stderr,
-                 "jarvis_serve: %llu weight versions published during "
-                 "training (streaming republish)\n",
-                 static_cast<unsigned long long>(stats.weights_published));
-  }
-
   sim::ResidentSimulator resident(home, sim::ThermalConfig{},
                                   config.fleet_seed);
   serve::DispatcherOptions dispatch_options;

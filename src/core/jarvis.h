@@ -131,25 +131,25 @@ class Jarvis {
   // some actions manually and rely on Jarvis for the rest; Jarvis suggests
   // from whatever state the environment reached. Const and genuinely
   // read-only: concurrent SuggestAction calls on one instance (or across
-  // fleet tenants) mutate nothing — the greedy decode goes through
-  // rl::DqnAgent::GreedyActionFromQ, bypassing SelectAction's
-  // sticky-exploration memory.
+  // fleet tenants) mutate nothing — the forward runs in a call-local
+  // neural::InferenceWorkspace (the network holds no scratch), and the
+  // greedy decode goes through rl::DqnAgent::GreedyActionFromQ, bypassing
+  // SelectAction's sticky-exploration memory.
   fsm::ActionVector SuggestAction(const fsm::StateVector& state,
                                   int minute) const;
 
   // Read-only access to the trained policy and its featurizer for the
-  // batched inference path (runtime::InferenceBatcher collects Q-value
-  // queries from many tenants and answers each tenant's batch with one
-  // forward). Null before the first OptimizeDay.
+  // batched inference path (runtime::Fleet::SuggestMinutes answers a whole
+  // day of minutes with one forward). Null before the first OptimizeDay.
   const rl::DqnAgent* agent() const { return agent_.get(); }
   const rl::IoTEnv* policy_env() const { return last_env_.get(); }
 
   // Streaming-republish seam: when set (and config.trainer.republish is
   // enabled), OptimizeDay hands each restart's live network to this hook
   // at the policy's cadence, with EpisodeProgress::restart filled in — the
-  // online-learning path that lets a serving funnel ride fresh weights
-  // mid-run (runtime::Fleet wires it to AggregationService::
-  // PublishWeights). Single-writer contract as for the mutators above:
+  // online-learning path that lets serving ride fresh weights mid-run
+  // (runtime::Fleet swaps in a CloneForInference snapshot). Single-writer
+  // contract as for the mutators above:
   // call it before OptimizeDay, never concurrently with it. The hook runs
   // on the OptimizeDay caller's thread and must not throw; it draws no RNG,
   // so results are bit-identical with or without it. Mid-run publishes can

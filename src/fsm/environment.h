@@ -70,8 +70,7 @@ class EnvironmentFsm {
   void ValidateAction(const ActionVector& action) const;
 
   // All joint actions that change exactly one device ("mini-action"
-  // neighborhood), plus the all-no-op action. Used by tabular baselines
-  // and the constrained-exploration sampler.
+  // neighborhood), plus the all-no-op action.
   std::vector<ActionVector> SingleDeviceActions(const StateVector& state) const;
 
   std::string DebugString() const;

@@ -4,7 +4,7 @@
 // indices. A joint Action A_t assigns at most one device-action ("mini-
 // action", Section V-A-7) per device; kNoAction marks devices left alone.
 // States encode to a single uint64 mixed-radix key for use in hash tables
-// (the safe-transition table P_safe and tabular Q baselines).
+// (the safe-transition table P_safe).
 #pragma once
 
 #include <cstdint>

@@ -20,11 +20,17 @@ Network::Network(std::size_t input_features,
   }
 }
 
-const Tensor& Network::PredictScratch(const Tensor& input) const {
+const Tensor& Network::Predict(const Tensor& input,
+                               InferenceWorkspace& workspace) const {
+  JARVIS_CHECK_EQ(input.cols(), input_features_,
+                  "Network::Predict: input width mismatch");
+  JARVIS_OBS_ONLY(if (predict_rows_histogram_ != nullptr) {
+    predict_rows_histogram_->Observe(static_cast<double>(input.rows()));
+  })
   const Tensor* activation = &input;
   bool into_ping = true;
   for (const auto& layer : layers_) {
-    Tensor& out = into_ping ? infer_ping_ : infer_pong_;
+    Tensor& out = into_ping ? workspace.ping : workspace.pong;
     layer.InferInto(*activation, out);
     activation = &out;
     into_ping = !into_ping;
@@ -32,46 +38,26 @@ const Tensor& Network::PredictScratch(const Tensor& input) const {
   return *activation;
 }
 
-Tensor Network::Predict(const Tensor& input) const {
-  return PredictScratch(input);
+Tensor Network::PredictBatch(const Tensor& inputs) const {
+  InferenceWorkspace workspace;
+  return Predict(inputs, workspace);
 }
 
 std::vector<double> Network::PredictOne(const std::vector<double>& input) const {
-  std::vector<double> out;
-  PredictOneInto(input, out);
-  return out;
-}
-
-void Network::PredictOneInto(const std::vector<double>& input,
-                             std::vector<double>& out) const {
-  infer_row_.Resize(1, input.size());
-  infer_row_.SetRow(0, input);
-  const Tensor& prediction = PredictScratch(infer_row_);
-  out.resize(prediction.cols());
-  const auto& data = prediction.data();
-  std::copy(data.begin(), data.end(), out.begin());
-}
-
-Tensor Network::PredictBatch(const Tensor& inputs) const {
-  return PredictBatchScratch(inputs);
-}
-
-const Tensor& Network::PredictBatchScratch(const Tensor& inputs) const {
-  JARVIS_CHECK_EQ(inputs.cols(), input_features_,
-                  "Network::PredictBatch: input width mismatch");
-  JARVIS_OBS_ONLY(if (batch_rows_histogram_ != nullptr) {
-    batch_rows_histogram_->Observe(static_cast<double>(inputs.rows()));
-  })
-  return PredictScratch(inputs);
+  InferenceWorkspace workspace;
+  workspace.row.Resize(1, input.size());
+  workspace.row.SetRow(0, input);
+  const Tensor& prediction = Predict(workspace.row, workspace);
+  return {prediction.data().begin(), prediction.data().end()};
 }
 
 void Network::SetMetrics(obs::Registry* registry) {
   if (registry == nullptr) {
-    batch_rows_histogram_ = nullptr;
+    predict_rows_histogram_ = nullptr;
     return;
   }
-  batch_rows_histogram_ = registry->GetHistogram(
-      "neural.predict_batch.rows", obs::DefaultBatchSizeBounds());
+  predict_rows_histogram_ = registry->GetHistogram(
+      "neural.predict.rows", obs::DefaultBatchSizeBounds());
 }
 
 const Tensor& Network::ForwardCached(const Tensor& input) {

@@ -10,6 +10,7 @@
 
 #include "neural/loss.h"
 #include "neural/optimizer.h"
+#include "neural/tensor.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
 
@@ -19,6 +20,16 @@ namespace jarvis::neural {
 struct LayerSpec {
   std::size_t units;
   Activation activation;
+};
+
+// Caller-owned scratch for Network::Predict: ping-pong activation buffers
+// plus a 1-row staging tensor for single-sample queries. Reusing one
+// workspace across calls keeps inference allocation-free in the steady
+// state (buffers only grow); a workspace serves one thread at a time.
+struct InferenceWorkspace {
+  Tensor ping;
+  Tensor pong;
+  Tensor row;
 };
 
 class Network {
@@ -31,38 +42,25 @@ class Network {
           Loss loss, std::unique_ptr<Optimizer> optimizer,
           jarvis::util::Rng rng);
 
-  // Forward pass for inference, returning a fresh tensor. Inference routes
-  // through mutable network-owned scratch (zero steady-state allocations
-  // beyond the returned copy), so a Network is thread-compatible, not
-  // thread-safe: each fleet tenant owns its network and runs on one worker
-  // (DESIGN.md §10/§12); nothing may share one Network across threads.
-  Tensor Predict(const Tensor& input) const;
-  // Allocation-free variant: returns a reference to network-owned scratch
-  // holding the prediction. Invalidated by the next Predict*/forward call
-  // on this network; `input` must not alias network scratch (i.e. must not
-  // itself be a reference previously returned by this method).
-  const Tensor& PredictScratch(const Tensor& input) const;
-  // Convenience: single-sample prediction.
-  std::vector<double> PredictOne(const std::vector<double>& input) const;
-  // Allocation-free single-sample variant (steady state: `out` is resized
-  // once and overwritten thereafter).
-  void PredictOneInto(const std::vector<double>& input,
-                      std::vector<double>& out) const;
-
-  // Batched inference over `inputs` (rows are independent samples; width
-  // must equal input_features()). Row i of the result is *bit-identical*
-  // to PredictOne(row i): every layer op — MatMul accumulation, bias
-  // broadcast, activation — iterates each output row independently in the
-  // same order regardless of how many rows share the tensor, so batching
-  // queries from many tenants through one forward (runtime::
-  // InferenceBatcher) cannot perturb any tenant's Q-values. The batched
-  // parity test (runtime_batcher_test) pins this invariant.
+  // The one inference forward: runs `input` (rows are independent
+  // samples; width must equal input_features()) through every layer into
+  // `workspace` and returns a reference to the prediction inside it, valid
+  // until the next Predict with that workspace. `input` may be
+  // workspace.row but not workspace.ping/pong. Truly const: the network
+  // holds no inference scratch, so any number of threads may Predict on
+  // one Network at once, each with its own workspace.
+  //
+  // Row i of the result is *bit-identical* to the same row predicted alone:
+  // every layer op — MatMul accumulation, bias broadcast, activation —
+  // iterates each output row independently in the same order regardless of
+  // how many rows share the tensor, so batching many minutes or many
+  // queries through one forward cannot perturb any row's Q-values
+  // (neural_network_test pins it).
+  const Tensor& Predict(const Tensor& input,
+                        InferenceWorkspace& workspace) const;
+  // Value-returning conveniences over a call-local workspace.
   Tensor PredictBatch(const Tensor& inputs) const;
-  // Allocation-free PredictBatch: same contract (width check, metrics
-  // observation, per-row bit-identity with PredictOne), returning a
-  // reference into network scratch, valid until the next Predict*/forward
-  // call on this network.
-  const Tensor& PredictBatchScratch(const Tensor& inputs) const;
+  std::vector<double> PredictOne(const std::vector<double>& input) const;
 
   // One optimization step on a batch; returns the batch loss before the
   // update.
@@ -75,9 +73,9 @@ class Network {
   // Replay fast path, in two halves. ForwardForTraining runs one cached
   // forward over `input` and returns the prediction (a reference into
   // layer scratch, valid until the next forward/train call on this
-  // network; PredictScratch and PredictOneInto use separate inference
-  // scratch and do NOT invalidate it). TrainCachedMasked then trains
-  // against that cached forward without recomputing it — bit-identical to
+  // network; Predict writes only its caller's workspace and does NOT
+  // invalidate it). TrainCachedMasked then trains against that cached
+  // forward without recomputing it — bit-identical to
   // TrainBatchMasked(input, target, mask), minus one redundant forward
   // pass. DqnAgent::Replay uses the pair to derive its targets from the
   // same forward it trains on.
@@ -108,13 +106,11 @@ class Network {
 
   // Inference-only snapshot: a new Network with identical topology and an
   // exact (bit-for-bit) copy of this network's parameters, behind a dummy
-  // optimizer. Because Predict* is a pure function of (parameters, input)
+  // optimizer. Because Predict is a pure function of (parameters, input)
   // and the copies are exact Tensor copies, the clone's forwards are
-  // bit-identical to this network's — which is what lets a serving-side
-  // weight version (runtime::AggregationService::PublishWeights) answer
-  // queries while training keeps mutating the source network. The clone
-  // shares no state with the source, so each side's mutable inference
-  // scratch is private (thread-compatibility per network, DESIGN.md §12).
+  // bit-identical to this network's — which is what lets a serving
+  // snapshot (runtime::Fleet's mid-run republish) answer queries while
+  // training keeps mutating the source network.
   std::unique_ptr<Network> CloneForInference() const;
 
   // Raw parameter snapshot/restore (weights, biases) per layer — cheap
@@ -122,10 +118,9 @@ class Network {
   std::vector<std::pair<Tensor, Tensor>> ExportParameters() const;
   void ImportParameters(const std::vector<std::pair<Tensor, Tensor>>& params);
 
-  // Wires neural.predict_batch.rows (batch-size distribution of the
-  // batched-inference entry point — the fleet amortization statistic).
-  // Null disables. Observation only: PredictBatch output stays
-  // bit-identical per row regardless of wiring.
+  // Wires neural.predict.rows (rows per inference forward — how much each
+  // Predict amortizes). Null disables. Observation only: predictions stay
+  // bit-identical regardless of wiring.
   void SetMetrics(obs::Registry* registry);
 
  private:
@@ -136,20 +131,13 @@ class Network {
   Loss loss_;
   std::vector<DenseLayer> layers_;
   std::unique_ptr<Optimizer> optimizer_;
-  mutable jarvis::util::Rng rng_;
-  // Inference scratch: ping-pong activation buffers plus a 1-row staging
-  // tensor for PredictOne. Mutable so const Predict stays allocation-free;
-  // this is what makes the network thread-compatible rather than
-  // thread-safe (see Predict).
-  mutable Tensor infer_ping_;
-  mutable Tensor infer_pong_;
-  mutable Tensor infer_row_;
+  jarvis::util::Rng rng_;
   // Training scratch: loss gradient and mini-batch gather buffers.
   Tensor loss_grad_;
   Tensor batch_in_;
   Tensor batch_target_;
   std::vector<std::size_t> epoch_order_;
-  obs::Histogram* batch_rows_histogram_ = nullptr;
+  obs::Histogram* predict_rows_histogram_ = nullptr;
 };
 
 }  // namespace jarvis::neural

@@ -124,10 +124,9 @@ class Histogram {
 // Default bucket bounds for microsecond latency timers: 10µs .. 1s.
 const std::vector<double>& DefaultLatencyBoundsUs();
 
-// Default bucket bounds for batch-size histograms (rows per coalesced
-// forward pass): powers of two, 1 .. 256. Shared by every batched-inference
-// instrument (neural.predict_batch.rows, runtime.agg.batch_rows) so the
-// fleet's amortization statistics are comparable across layers.
+// Default bucket bounds for batch-size histograms (rows per forward pass):
+// powers of two, 1 .. 256. Used by neural.predict.rows, and by any future
+// batch-size instrument so their distributions stay comparable.
 const std::vector<double>& DefaultBatchSizeBounds();
 
 // Named-instrument registry. Get* registers on first use and returns the

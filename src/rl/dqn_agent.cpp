@@ -124,9 +124,12 @@ fsm::ActionVector DqnAgent::SelectAction(const std::vector<double>& features,
   }
   JARVIS_OBS_ONLY(
       if (actions_counter_ != nullptr) actions_counter_->Increment();)
-  // One allocation-free forward into agent scratch serves both the greedy
-  // decode and the exploit branches below.
-  network_.PredictOneInto(features, q_scratch_);
+  // One allocation-free forward through the agent's workspace serves both
+  // the greedy decode and the exploit branches below.
+  workspace_.row.Resize(1, features.size());
+  workspace_.row.SetRow(0, features);
+  const neural::Tensor& q_row = network_.Predict(workspace_.row, workspace_);
+  q_scratch_.assign(q_row.data().begin(), q_row.data().end());
   if (greedy) return GreedyActionFromQ(q_scratch_, mask);
   std::vector<std::size_t> slots;
   // Per-device exploration: each device independently explores with
@@ -238,12 +241,12 @@ double DqnAgent::Replay() {
   }
   // One batched forward replaces batch-size per-row PredictOne calls for
   // the next-state bootstrap. Each row of the batched output is
-  // bit-identical to the per-row prediction (the PredictBatch row-
-  // independence invariant), so targets are unchanged. PredictScratch uses
-  // the inference ping-pong scratch, so the layer caches the training step
-  // reads are untouched even when bootstrap_net is the online network.
+  // bit-identical to the per-row prediction (Predict's row-independence
+  // invariant), so targets are unchanged. Predict writes only the agent's
+  // workspace, so the layer caches the training step reads are untouched
+  // even when bootstrap_net is the online network.
   const neural::Tensor& next_q_all =
-      bootstrap_net.PredictScratch(replay_next_);
+      bootstrap_net.Predict(replay_next_, workspace_);
   replay_mask_.Resize(batch, outputs);
   replay_mask_.Fill(0.0);
 

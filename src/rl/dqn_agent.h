@@ -72,14 +72,16 @@ class DqnAgent {
   fsm::ActionVector SelectAction(const std::vector<double>& features,
                                  const std::vector<bool>& mask, bool greedy);
 
-  // Q-values for all slots (diagnostics and Table III reporting).
+  // Q-values for all slots (diagnostics, Table III reporting and
+  // Jarvis::SuggestAction). Const and safe to call concurrently: it runs
+  // over a call-local workspace, never the agent's.
   std::vector<double> QValues(const std::vector<double>& features) const;
 
   // Greedy joint-action decode from a precomputed Q-value row: per device,
   // the best mask-admitted slot (ties to the no-op). This is exactly
   // SelectAction's greedy path, split out const so (a) a batched forward
-  // (runtime::InferenceBatcher) can decode each output row without a second
-  // per-row Predict, and (b) concurrent fleet tenants can decode without
+  // (runtime::Fleet::SuggestMinutes) can decode each output row without a
+  // second per-row Predict, and (b) concurrent callers can decode without
   // touching any agent state — unlike SelectAction, which maintains the
   // sticky-exploration memory even when called greedily.
   fsm::ActionVector GreedyActionFromQ(const std::vector<double>& q,
@@ -115,7 +117,7 @@ class DqnAgent {
 
   // Wires rl.agent.* instruments (actions selected, replay batches, loss
   // and epsilon histograms, replay-size gauge, replay-forward/train timers) and
-  // cascades to the network (neural.predict_batch.rows). Null disables —
+  // cascades to the network (neural.predict.rows). Null disables —
   // and the hot-loop call sites are additionally wrapped in
   // JARVIS_OBS_ONLY so a -DJARVIS_OBS_OFF build compiles them out.
   void SetMetrics(obs::Registry* registry);
@@ -164,7 +166,9 @@ class DqnAgent {
   // restored network's instruments.
   obs::Registry* metrics_registry_ = nullptr;
   // Hot-loop scratch, reused across calls so steady-state SelectAction and
-  // Replay perform zero allocations (DESIGN.md §12).
+  // Replay perform zero allocations (DESIGN.md §12). The workspace serves
+  // SelectAction's one-row forward and Replay's bootstrap forward.
+  neural::InferenceWorkspace workspace_;
   std::vector<double> q_scratch_;
   std::vector<std::size_t> replay_indices_;
   neural::Tensor replay_inputs_;   // batch x features

@@ -48,9 +48,9 @@ struct EpisodeProgress {
 // Invoked on the training thread at republish points with the agent's LIVE
 // network — quiescent for exactly the duration of the call (the trainer is
 // the single writer and it is blocked in the hook). Implementations must
-// snapshot (e.g. AggregationService::PublishWeights clones) rather than
-// retain the reference, and must not throw or draw from the trainer's RNG
-// streams: the training trajectory is bit-identical with or without a hook.
+// snapshot (runtime::Fleet takes a Network::CloneForInference) rather
+// than retain the reference, and must not throw or draw from the
+// trainer's RNG streams: the training trajectory is bit-identical with or without a hook.
 using RepublishHook =
     std::function<void(const EpisodeProgress&, const neural::Network&)>;
 

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "rl/iot_env.h"
-#include "runtime/inference_batcher.h"
 #include "sim/anomaly.h"
 #include "sim/scenario.h"
 #include "util/rng.h"
@@ -90,7 +89,6 @@ Fleet::Fleet(const fsm::EnvironmentFsm& home, FleetConfig config)
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     shards_[i].seed =
         util::DeriveSeed(config_.fleet_seed, static_cast<std::uint64_t>(i));
-    shards_[i].suggest_mutex = std::make_unique<util::Mutex>();
   }
 }
 
@@ -98,7 +96,6 @@ void Fleet::RunTenant(std::size_t index, const WorkloadFactory& factory,
                       TenantResult& result) {
   std::uint64_t seed = 0;
   std::unique_ptr<core::Jarvis> warm;
-  std::shared_ptr<AggregationService> run_aggregator;
   {
     // Touch the shard only at job start (seed + quarantine flag + staged
     // warm-start pipeline) and job end (store the trained pipeline): the
@@ -119,7 +116,6 @@ void Fleet::RunTenant(std::size_t index, const WorkloadFactory& factory,
       return;
     }
     warm = std::move(shard.warm_start);
-    run_aggregator = aggregator_;
   }
   obs::ScopedSpan tenant_span(&tracer_, "tenant." + std::to_string(index));
   try {
@@ -137,25 +133,20 @@ void Fleet::RunTenant(std::size_t index, const WorkloadFactory& factory,
                         : std::make_unique<core::Jarvis>(
                               home_, MakeTenantConfig(config_.tenant_config,
                                                       seed));
-    // Streaming republish: when a policy is configured and the funnel is
-    // attached, the trainer snapshots the live network through
-    // PublishWeights mid-run — serving rides a policy at most N episodes
-    // old instead of waiting for this whole job. The hook runs on this
-    // job's thread (the network's single writer, quiescent for the call)
-    // and draws no RNG, so tenant results are identical either way. The
-    // captured service stays alive through the shared_ptr even if
-    // EnableAggregation replaces it mid-run; the replacement gets this
-    // tenant's weights at job end below.
-    if (run_aggregator != nullptr &&
-        config_.tenant_config.trainer.republish.enabled()) {
-      std::shared_ptr<AggregationService> stream = run_aggregator;
-      obs::Counter* republished = registry_.GetCounter(
-          "runtime.agg.republish.published", obs::Determinism::kTiming);
+    // Streaming republish: the trainer hands its live network to this
+    // hook at the policy's cadence, and serving switches to an exact copy
+    // of it — a policy at most N episodes old instead of waiting for this
+    // whole job. The hook runs on this job's thread (the network's single
+    // writer, quiescent for the call) and draws no RNG, so tenant results
+    // are identical either way.
+    if (config_.tenant_config.trainer.republish.enabled()) {
+      obs::Counter* republishes = registry_.GetCounter(
+          "runtime.fleet.republishes", obs::Determinism::kTiming);
       jarvis->SetLearningHook(
-          [index, stream, republished](const rl::EpisodeProgress&,
-                                       const neural::Network& network) {
-            stream->PublishWeights(index, network);
-            republished->Increment();
+          [this, index, republishes](const rl::EpisodeProgress&,
+                                     const neural::Network& network) {
+            Publish(index, network.CloneForInference());
+            republishes->Increment();
           });
     }
     if (jarvis->learned()) {
@@ -170,30 +161,26 @@ void Fleet::RunTenant(std::size_t index, const WorkloadFactory& factory,
       obs::ScopedSpan span(&tracer_, "optimize");
       result.plan = jarvis->OptimizeDay(workload.day, workload.weights);
     }
-    // Drop the streaming hook before storing the pipeline: it holds a
-    // reference to the service this run started with, and the stored
-    // pipeline (which never trains again — a re-Run builds a fresh one)
-    // must not pin a replaced service alive for its whole lifetime.
+    // The stored pipeline never trains again (a re-Run builds a fresh
+    // one), so the hook that points back at this fleet goes with it.
     jarvis->SetLearningHook(nullptr);
     result.health = jarvis->Health();
     result.completed = true;
-    std::shared_ptr<AggregationService> aggregator;
-    {
-      util::MutexLock lock(mutex_);
-      shards_[index].jarvis = jarvis;
-      aggregator = aggregator_;
+    // Serve the trained network in place: the aliasing shared_ptr keeps
+    // the whole pipeline alive for as long as a caller holds the snapshot.
+    std::shared_ptr<const neural::Network> snapshot;
+    if (jarvis->agent() != nullptr) {
+      snapshot = std::shared_ptr<const neural::Network>(
+          jarvis, &jarvis->agent()->network());
     }
-    // Publish this tenant's freshly trained weights to the serving funnel
-    // (outside the fleet lock — the clone walks every parameter). The
-    // local shared_ptr keeps the pipeline alive across the publish even if
-    // a concurrent RemoveTenant resets the shard slot mid-clone (the
-    // dangling-`stored` fix); publishing for a just-removed tenant is
-    // harmless — SuggestMinutes throws before consulting the funnel. This
-    // job is the only writer of the tenant's pipeline, so the source
-    // network is quiescent here. Deterministically a no-op for tenant
-    // results: the snapshot is an exact parameter copy and draws no RNG.
-    if (aggregator != nullptr && jarvis->agent() != nullptr) {
-      aggregator->PublishWeights(index, jarvis->agent()->network());
+    {
+      // A tenant removed mid-run stays never-run for every accessor.
+      util::MutexLock lock(mutex_);
+      TenantShard& shard = shards_[index];
+      if (!shard.removed) {
+        shard.jarvis = jarvis;
+        shard.snapshot.swap(snapshot);
+      }
     }
   } catch (const std::exception& error) {
     // Quarantine, never tear down: the shard keeps its slot (and its
@@ -204,7 +191,15 @@ void Fleet::RunTenant(std::size_t index, const WorkloadFactory& factory,
     TenantShard& shard = shards_[index];
     shard.quarantined = true;
     shard.jarvis.reset();
+    shard.snapshot.reset();
   }
+}
+
+void Fleet::Publish(std::size_t index,
+                    std::shared_ptr<const neural::Network> snapshot) {
+  util::MutexLock lock(mutex_);
+  TenantShard& shard = shards_[index];
+  if (!shard.removed) shard.snapshot.swap(snapshot);
 }
 
 void Fleet::ForEachTenant(const std::function<void(std::size_t)>& fn) {
@@ -307,109 +302,47 @@ obs::MetricsSnapshot Fleet::AggregateTenantMetrics() const {
 std::vector<fsm::ActionVector> Fleet::SuggestMinutes(
     std::size_t tenant, const fsm::StateVector& state,
     const std::vector<int>& minutes) const {
-  // Pin the pipeline for the whole call: a concurrent RemoveTenant or
-  // re-Run resets the shard slot but cannot destroy the object under us.
+  // Pin the pipeline (featurizer and decoder) and the serving snapshot
+  // together: a concurrent RemoveTenant, re-Run or republish swaps the
+  // shard slots but cannot destroy either object under us.
   std::shared_ptr<core::Jarvis> jarvis;
-  util::Mutex* suggest_mutex = nullptr;
-  std::shared_ptr<AggregationService> aggregator;
+  std::shared_ptr<const neural::Network> snapshot;
   {
     util::MutexLock lock(mutex_);
     if (tenant >= shards_.size()) {
       throw std::out_of_range("Fleet::SuggestMinutes: no such tenant");
     }
     jarvis = shards_[tenant].jarvis;
-    suggest_mutex = shards_[tenant].suggest_mutex.get();
-    aggregator = aggregator_;
+    snapshot = shards_[tenant].snapshot;
   }
   if (jarvis == nullptr) {
     throw std::logic_error("Fleet::SuggestMinutes: tenant has not run");
   }
   const rl::DqnAgent* agent = jarvis->agent();
   const rl::IoTEnv* env = jarvis->policy_env();
-  if (agent == nullptr || env == nullptr) {
+  if (agent == nullptr || env == nullptr || snapshot == nullptr) {
     throw std::logic_error("Fleet::SuggestMinutes: tenant has no policy");
-  }
-  std::vector<std::vector<double>> features;
-  std::vector<std::vector<bool>> masks;
-  features.reserve(minutes.size());
-  masks.reserve(minutes.size());
-  for (int minute : minutes) {
-    features.push_back(env->FeaturesFor(state, minute));
-    masks.push_back(env->SafeSlotMaskFor(state, minute));
   }
   if (minutes.empty()) return {};
 
+  // One batched forward over every minute. Predict rows are
+  // row-independent, so each decoded action is bit-identical to a
+  // per-minute SuggestAction on the same network.
+  neural::InferenceWorkspace workspace;
+  workspace.row.Resize(minutes.size(), snapshot->input_features());
+  std::vector<std::vector<bool>> masks;
+  masks.reserve(minutes.size());
+  for (std::size_t i = 0; i < minutes.size(); ++i) {
+    workspace.row.SetRow(i, env->FeaturesFor(state, minutes[i]));
+    masks.push_back(env->SafeSlotMaskFor(state, minutes[i]));
+  }
+  const neural::Tensor& q = snapshot->Predict(workspace.row, workspace);
   std::vector<fsm::ActionVector> actions;
   actions.reserve(minutes.size());
-
-  // Aggregated route: Q-rows from the cross-tenant funnel, computed on the
-  // tenant's published weight version — an exact parameter copy, and
-  // PredictBatch rows are row-independent, so the decoded actions are
-  // bit-identical to the direct route below. A rejection (queue full,
-  // shutdown, nothing published yet) falls through to the direct route.
-  if (aggregator != nullptr && aggregator->weight_version(tenant) != 0) {
-    std::optional<AggregatedResult> result =
-        aggregator->Infer(tenant, features);
-    if (result.has_value()) {
-      for (std::size_t i = 0; i < minutes.size(); ++i) {
-        actions.push_back(
-            agent->GreedyActionFromQ(result->rows[i], masks[i]));
-      }
-      return actions;
-    }
-  }
-
-  // Direct route: one batched forward through the tenant's live network,
-  // serialized per tenant (one batcher per network is the documented safe
-  // scope — concurrent callers for one tenant must not overlap here).
-  util::MutexLock suggest_lock(*suggest_mutex);
-  InferenceBatcher batcher(agent->network());
-  for (std::vector<double>& row : features) {
-    batcher.Enqueue(std::move(row));
-  }
-  batcher.Flush();
   for (std::size_t i = 0; i < minutes.size(); ++i) {
-    actions.push_back(agent->GreedyActionFromQ(batcher.Result(i), masks[i]));
+    actions.push_back(agent->GreedyActionFromQ(q.RowVector(i), masks[i]));
   }
   return actions;
-}
-
-void Fleet::EnableAggregation(AggregationConfig config) {
-  auto service = std::make_shared<AggregationService>(config, &registry_);
-  // Collect the publish set and swap the service in ONE critical section.
-  // The old code collected, published, and only then swapped in a second
-  // lock hold — a tenant finishing in the gap published to the old (or
-  // null) service AND was missed by the collection, so it served stale (or
-  // no) weights until its next run. Now a tenant job observes either the
-  // old service (it is in `trained` below and gets published here) or the
-  // new one (its job-end publish lands there itself); a tenant in both
-  // sets publishes twice, which just mints two bit-identical versions.
-  std::vector<std::pair<std::size_t, std::shared_ptr<core::Jarvis>>> trained;
-  {
-    util::MutexLock lock(mutex_);
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      if (shards_[i].jarvis != nullptr && !shards_[i].removed) {
-        trained.emplace_back(i, shards_[i].jarvis);
-      }
-    }
-    aggregator_ = service;
-  }
-  // Clone outside the lock — the snapshot walks every parameter. The
-  // shared_ptr ownership tokens keep each pipeline alive across its clone
-  // (a concurrent RemoveTenant or re-Run only resets the shard slot), and
-  // stored pipelines are never mutated in place — a re-Run trains a fresh
-  // pipeline on locals and swaps it in — so the source networks are
-  // quiescent here.
-  for (const auto& [index, jarvis] : trained) {
-    if (jarvis->agent() != nullptr) {
-      service->PublishWeights(index, jarvis->agent()->network());
-    }
-  }
-}
-
-std::shared_ptr<AggregationService> Fleet::aggregator() const {
-  util::MutexLock lock(mutex_);
-  return aggregator_;
 }
 
 const core::Jarvis* Fleet::tenant(std::size_t index) const {
@@ -433,7 +366,6 @@ std::size_t Fleet::AddTenant() {
   // (fleet_seed, i) whether it joined at construction or dynamically.
   shard.seed = util::DeriveSeed(config_.fleet_seed,
                                 static_cast<std::uint64_t>(shards_.size()));
-  shard.suggest_mutex = std::make_unique<util::Mutex>();
   shards_.push_back(std::move(shard));
   return shards_.size() - 1;
 }
@@ -465,6 +397,7 @@ void Fleet::RemoveTenant(std::size_t index) {
   TenantShard& shard = shards_[index];
   shard.removed = true;
   shard.jarvis.reset();
+  shard.snapshot.reset();
   shard.warm_start.reset();
 }
 

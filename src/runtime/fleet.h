@@ -30,9 +30,12 @@
 // reference into state Run was concurrently reassigning, a latent race the
 // annotation pass surfaced; it now snapshots by value under the lock.
 // Accessors that use a tenant's trained pipeline (SuggestMinutes,
-// TenantMetrics, SaveCheckpoints, the end-of-run weight publish) pin it
-// with a shared_ptr for the duration of the call, so a concurrent
-// RemoveTenant or re-Run cannot destroy it under them. Caveat: tenant()
+// TenantMetrics, SaveCheckpoints) pin it with a shared_ptr for the
+// duration of the call, so a concurrent RemoveTenant or re-Run cannot
+// destroy it under them. Serving reads a per-tenant snapshot
+// (shared_ptr<const Network>) that publishes swap under the lock; holding
+// the pointer pins the version, and inference itself takes no lock.
+// Caveat: tenant()
 // still returns a raw pointer whose object the NEXT Run of that tenant
 // replaces — don't hold it across a re-run.
 #pragma once
@@ -47,7 +50,6 @@
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "persist/checkpoint.h"
-#include "runtime/aggregation_service.h"
 #include "runtime/thread_pool.h"
 #include "util/io.h"
 #include "util/mutex.h"
@@ -214,47 +216,17 @@ class Fleet {
                                           std::size_t tenant);
 
   // Batched deployment-mode suggestion: greedy actions for one tenant at
-  // each queried minute. Bit-identical to calling Jarvis::SuggestAction
-  // per minute, by either route:
-  //   * Aggregated (EnableAggregation called and the tenant has a
-  //     published weight version): the Q-rows come from the cross-tenant
-  //     AggregationService, so concurrent callers — same tenant or not —
-  //     coalesce into shared GEMMs. If the service rejects (queue full,
-  //     shut down), the call falls back to the direct route below, so
-  //     serving never fails on backpressure.
-  //   * Direct: a single batched forward through the tenant's own network
-  //     (InferenceBatcher), serialized per tenant by the shard's suggest
-  //     mutex — the lock that makes concurrent SuggestMinutes calls safe
-  //     (one batcher per network is the documented safe scope).
-  // Thread-safe either way; callers need no external locking.
+  // each queried minute, bit-identical to calling Jarvis::SuggestAction
+  // per minute. Pins the tenant's serving snapshot and runs one batched
+  // forward over every minute through a call-local workspace — no lock
+  // is held during inference, so any number of callers (same tenant or
+  // not) proceed in parallel. Every row of one call decodes from the
+  // same snapshot. The snapshot is the last completed run's policy, or,
+  // when tenant_config.trainer.republish is enabled, the freshest
+  // mid-run copy of the network a Run is training.
   std::vector<fsm::ActionVector> SuggestMinutes(
       std::size_t tenant, const fsm::StateVector& state,
       const std::vector<int>& minutes) const JARVIS_EXCLUDES(mutex_);
-
-  // --- Cross-tenant inference aggregation ---------------------------------
-
-  // Attaches (or replaces) the fleet-level AggregationService and
-  // publishes a weight version for every tenant that has a trained
-  // pipeline; tenants publish automatically at the end of each later Run,
-  // and — when tenant_config.trainer.republish is enabled — stream
-  // mid-run snapshots through it at the policy's cadence, so calling this
-  // BEFORE Run puts serving traffic on a policy at most N episodes old
-  // while training is still in flight. From this point SuggestMinutes
-  // routes through the aggregator. Safe concurrently with Run: the swap
-  // and the publish set are decided in one critical section, so a tenant
-  // finishing during the call publishes to the new service rather than
-  // falling into a gap (a tenant may publish twice — two bit-identical
-  // versions — which is harmless). A replace mid-traffic loses the old
-  // service's stats; in-flight callers keep the old service alive.
-  void EnableAggregation(AggregationConfig config) JARVIS_EXCLUDES(mutex_);
-
-  // The attached service (null before EnableAggregation) — for stats and
-  // tests. Shared ownership: the returned pointer stays valid across a
-  // later EnableAggregation (which detaches the old service but cannot
-  // destroy it under a holder — the re-enable-while-serving fix; a raw
-  // pointer here was a use-after-free for any caller that cached it).
-  std::shared_ptr<AggregationService> aggregator() const
-      JARVIS_EXCLUDES(mutex_);
 
   // The tenant's facade (null for out-of-range), e.g. for audits. Stable
   // until that tenant's next Run (see the re-run caveat above).
@@ -295,25 +267,30 @@ class Fleet {
   struct TenantShard {
     std::uint64_t seed = 0;
     // Shared, not unique: accessors (SuggestMinutes, TenantMetrics,
-    // checkpoint saves) and the end-of-run publish pin the pipeline with
-    // their own reference, so a concurrent RemoveTenant / re-Run resets
-    // this slot without pulling the object out from under them.
+    // checkpoint saves) pin the pipeline with their own reference, so a
+    // concurrent RemoveTenant / re-Run resets this slot without pulling
+    // the object out from under them.
     std::shared_ptr<core::Jarvis> jarvis;
+    // The network SuggestMinutes serves. At the end of a run it aliases
+    // the stored pipeline's network (no copy: a stored pipeline never
+    // trains again); a mid-run republish swaps in a CloneForInference of
+    // the network still training.
+    std::shared_ptr<const neural::Network> snapshot;
     // Pipeline holding restored/template policies, staged by
     // RestoreCheckpoints or AddTenant(warm_start_template); consumed
     // (moved out) by the tenant's next Run.
     std::unique_ptr<core::Jarvis> warm_start;
-    // Serializes this tenant's direct (non-aggregated) SuggestMinutes
-    // inference — the per-tenant lock that used to live in the serve
-    // Dispatcher, now owned where the batcher is built. Heap-allocated so
-    // the shard stays movable (AddTenant grows the table).
-    std::unique_ptr<util::Mutex> suggest_mutex;
     bool quarantined = false;
     bool removed = false;  // tombstone: skipped everywhere, index preserved
   };
 
   void RunTenant(std::size_t index, const WorkloadFactory& factory,
                  TenantResult& result) JARVIS_EXCLUDES(mutex_);
+  // Swaps tenant `index`'s serving snapshot (skipped for a removed
+  // tenant). The replaced snapshot is released outside the lock.
+  void Publish(std::size_t index,
+               std::shared_ptr<const neural::Network> snapshot)
+      JARVIS_EXCLUDES(mutex_);
   // Schedules fn(i) for every tenant: inline when jobs <= 1, else across a
   // pool. Returns once all jobs finished.
   void ForEachTenant(const std::function<void(std::size_t)>& fn)
@@ -331,9 +308,6 @@ class Fleet {
   // by their own tenant's job (start/end, under the lock).
   std::vector<TenantShard> shards_ JARVIS_GUARDED_BY(mutex_);
   FleetReport report_ JARVIS_GUARDED_BY(mutex_);
-  // Cross-tenant inference funnel (null until EnableAggregation). Shared
-  // so an in-flight SuggestMinutes outlives a concurrent replace.
-  std::shared_ptr<AggregationService> aggregator_ JARVIS_GUARDED_BY(mutex_);
 };
 
 }  // namespace jarvis::runtime

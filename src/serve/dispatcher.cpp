@@ -162,29 +162,6 @@ util::JsonObject Dispatcher::HandleHealth() {
   fields["completed"] = static_cast<std::int64_t>(report.completed);
   fields["quarantined"] = static_cast<std::int64_t>(report.quarantined);
   fields["buffered_events"] = static_cast<std::int64_t>(buffered);
-  // Aggregation funnel evidence, when attached. The shared_ptr pins the
-  // service for the duration of the snapshot — a concurrent
-  // EnableAggregation replace cannot free it under us.
-  const std::shared_ptr<runtime::AggregationService> aggregator =
-      fleet_.aggregator();
-  if (aggregator != nullptr) {
-    const runtime::AggregationStats stats = aggregator->stats();
-    util::JsonObject agg;
-    agg["submitted"] = static_cast<std::int64_t>(stats.submitted_queries);
-    agg["answered"] = static_cast<std::int64_t>(stats.answered_queries);
-    agg["rejected"] = static_cast<std::int64_t>(stats.rejected_queries);
-    agg["gemm_batches"] = static_cast<std::int64_t>(stats.gemm_batches);
-    agg["rows_inferred"] = static_cast<std::int64_t>(stats.rows_inferred);
-    agg["max_gemm_rows"] = static_cast<std::int64_t>(stats.max_gemm_rows);
-    agg["weights_published"] =
-        static_cast<std::int64_t>(stats.weights_published);
-    agg["max_batch"] = static_cast<std::int64_t>(stats.current_max_batch);
-    agg["autotune_raises"] =
-        static_cast<std::int64_t>(stats.autotune_raises);
-    agg["autotune_lowers"] =
-        static_cast<std::int64_t>(stats.autotune_lowers);
-    fields["aggregation"] = std::move(agg);
-  }
   return fields;
 }
 
@@ -239,9 +216,7 @@ util::JsonObject Dispatcher::HandleSuggestAction(const util::JsonValue& body) {
   const fsm::StateVector state = ParseState(body);
   std::vector<fsm::ActionVector> actions;
   try {
-    // Fleet::SuggestMinutes is thread-safe: it serializes per tenant on the
-    // direct route and coalesces concurrent callers through the
-    // AggregationService when the fleet has one attached.
+    // Fleet::SuggestMinutes is thread-safe and takes no per-tenant lock.
     actions = fleet_.SuggestMinutes(tenant, state, {minute});
   } catch (const util::CheckError& e) {
     throw RequestError(kErrBadRequest, e.what());

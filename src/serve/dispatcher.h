@@ -15,11 +15,8 @@
 //
 // Concurrency: Dispatch runs on ThreadPool workers, many at once.
 //   * Suggestion handlers call Fleet::SuggestMinutes concurrently — it is
-//     thread-safe on its own: the fleet serializes per tenant on the
-//     direct inference route and, with an AggregationService attached
-//     (Fleet::EnableAggregation), coalesces concurrent suggestions —
-//     across tenants — into shared batched GEMMs, which is what makes
-//     many-tenant daemon traffic amortize (DESIGN.md §16).
+//     thread-safe and lock-free on its own: each call pins the tenant's
+//     serving snapshot and runs its forward in a call-local workspace.
 //   * Ingest buffers and stall bookkeeping sit under mutex_.
 //   * Metrics/health/checkpoint ride the Fleet's own thread-safe API.
 #pragma once

@@ -168,8 +168,8 @@ class CondVar {
   // Timed wait: blocks until notified or `timeout_us` elapsed. Returns
   // false on timeout, true when woken by a signal (spurious wakeups
   // included — re-check the condition either way). A non-positive timeout
-  // returns false immediately without sleeping. This is what deadline-based
-  // policies (AggregationService's flush loop) build on.
+  // returns false immediately without sleeping. Deadline-based waits
+  // build on it.
   bool WaitFor(Mutex& mutex, std::int64_t timeout_us) JARVIS_REQUIRES(mutex);
 
   void Signal();     // wake one waiter

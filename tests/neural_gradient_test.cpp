@@ -22,7 +22,7 @@ class GradientCheck
 
 double EvaluateLoss(Network& network, const Tensor& input,
                     const Tensor& target) {
-  return ComputeLoss(network.loss(), network.Predict(input), target);
+  return ComputeLoss(network.loss(), network.PredictBatch(input), target);
 }
 
 TEST_P(GradientCheck, BackpropMatchesFiniteDifferences) {

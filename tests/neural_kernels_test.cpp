@@ -387,9 +387,9 @@ TEST(KernelParity, ForwardBitIdenticalToReferenceAcrossBatchSizes) {
   for (std::size_t batch : {std::size_t{1}, std::size_t{8}, std::size_t{32},
                             std::size_t{128}}) {
     const Tensor input = RandomTensor(batch, 12, rng);
-    ExpectBitEqual(network.Predict(input), reference.Predict(input),
+    ExpectBitEqual(network.PredictBatch(input), reference.Predict(input),
                    "forward batch=" + std::to_string(batch));
-    ExpectBitEqual(saturating.Predict(input),
+    ExpectBitEqual(saturating.PredictBatch(input),
                    saturating_reference.Predict(input),
                    "tanh/sigmoid forward batch=" + std::to_string(batch));
   }
@@ -467,12 +467,13 @@ TEST(KernelParity, TrainBatchMaskedTrajectoryBitIdentical) {
 
 // The replay fast path — one ForwardForTraining whose cached activations
 // feed TrainCachedMasked — must be bit-identical to the two-pass
-// TrainBatchMasked, including when a PredictScratch (the replay
-// bootstrap's forward) runs between the two halves.
+// TrainBatchMasked, including when a Predict (the replay bootstrap's
+// forward) runs between the two halves.
 TEST(KernelParity, TrainCachedMaskedMatchesTrainBatchMasked) {
   const double lr = 0.05;
   Network two_pass = MakeDqnShapedNetwork(lr, 0.0, 67);
   Network fast_path = MakeDqnShapedNetwork(lr, 0.0, 67);
+  InferenceWorkspace workspace;
   util::Rng rng(68);
   for (int step = 0; step < 6; ++step) {
     const Tensor input = RandomTensor(32, 12, rng);
@@ -484,7 +485,7 @@ TEST(KernelParity, TrainCachedMaskedMatchesTrainBatchMasked) {
     const double loss_two_pass = two_pass.TrainBatchMasked(input, target, mask);
 
     fast_path.ForwardForTraining(input);
-    fast_path.Predict(probe);  // bootstrap-style forward between the halves
+    fast_path.Predict(probe, workspace);  // bootstrap-style, between halves
     const double loss_fast = fast_path.TrainCachedMasked(target, mask);
 
     EXPECT_EQ(std::memcmp(&loss_two_pass, &loss_fast, sizeof(double)), 0)
@@ -503,7 +504,7 @@ TEST(KernelParity, TrainCachedMaskedMatchesTrainBatchMasked) {
 }
 
 // Mixing training and inference must not perturb either: the inference
-// ping-pong scratch and the layer forward caches are distinct, so a
+// workspace and the layer forward caches are distinct, so a
 // Predict between TrainBatch calls leaves the training trajectory
 // untouched.
 TEST(KernelParity, InterleavedPredictDoesNotPerturbTraining) {
@@ -513,7 +514,7 @@ TEST(KernelParity, InterleavedPredictDoesNotPerturbTraining) {
   util::Rng rng(62);
   for (int step = 0; step < 4; ++step) {
     const Tensor probe = RandomTensor(5, 12, rng);
-    ExpectBitEqual(network.Predict(probe), reference.Predict(probe),
+    ExpectBitEqual(network.PredictBatch(probe), reference.Predict(probe),
                    "interleaved predict " + std::to_string(step));
     const Tensor input = RandomTensor(16, 12, rng);
     const Tensor target = RandomTensor(16, 7, rng);

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+#include <vector>
+
 #include "neural/serialize.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace jarvis::neural {
 namespace {
@@ -24,7 +29,7 @@ TEST(Network, LearnsXorWithSgd) {
     loss = network.TrainBatch(inputs, targets);
   }
   EXPECT_LT(loss, 0.05);
-  const Tensor out = network.Predict(inputs);
+  const Tensor out = network.PredictBatch(inputs);
   EXPECT_LT(out(0, 0), 0.2);
   EXPECT_GT(out(1, 0), 0.8);
   EXPECT_GT(out(2, 0), 0.8);
@@ -73,14 +78,14 @@ TEST(Network, MaskedTrainingLeavesOtherHeadsUntouched) {
                   Loss::kMeanSquaredError, std::make_unique<Sgd>(0.1),
                   util::Rng(17));
   const Tensor input{{0.5, -0.5}};
-  const Tensor before = network.Predict(input);
+  const Tensor before = network.PredictBatch(input);
   // Train only output 1 toward a large value.
   Tensor target = before;
   target.At(0, 1) = 10.0;
   Tensor mask(1, 3, 0.0);
   mask.At(0, 1) = 1.0;
   for (int i = 0; i < 50; ++i) network.TrainBatchMasked(input, target, mask);
-  const Tensor after = network.Predict(input);
+  const Tensor after = network.PredictBatch(input);
   EXPECT_GT(after(0, 1), before(0, 1) + 1.0);
   // Heads 0 and 2 share the trunk so they may drift, but far less than the
   // trained head moved.
@@ -140,9 +145,9 @@ TEST(Network, CopyParametersAlignsPredictions) {
             Loss::kMeanSquaredError, std::make_unique<Sgd>(0.1),
             util::Rng(31));
   const Tensor input{{0.4, 0.6}};
-  EXPECT_NE(a.Predict(input)(0, 0), b.Predict(input)(0, 0));
+  EXPECT_NE(a.PredictBatch(input)(0, 0), b.PredictBatch(input)(0, 0));
   b.CopyParametersFrom(a);
-  EXPECT_DOUBLE_EQ(a.Predict(input)(0, 0), b.Predict(input)(0, 0));
+  EXPECT_DOUBLE_EQ(a.PredictBatch(input)(0, 0), b.PredictBatch(input)(0, 0));
 }
 
 TEST(Network, ExportImportRoundTrip) {
@@ -151,12 +156,12 @@ TEST(Network, ExportImportRoundTrip) {
             util::Rng(37));
   const Tensor input{{1.0, -1.0}};
   const auto saved = a.ExportParameters();
-  const double before = a.Predict(input)(0, 0);
+  const double before = a.PredictBatch(input)(0, 0);
   // Perturb by training, then restore.
   for (int i = 0; i < 20; ++i) a.TrainBatch(input, Tensor{{5.0}});
-  EXPECT_NE(a.Predict(input)(0, 0), before);
+  EXPECT_NE(a.PredictBatch(input)(0, 0), before);
   a.ImportParameters(saved);
-  EXPECT_DOUBLE_EQ(a.Predict(input)(0, 0), before);
+  EXPECT_DOUBLE_EQ(a.PredictBatch(input)(0, 0), before);
 }
 
 TEST(Network, JsonSerializationRoundTrip) {
@@ -168,8 +173,8 @@ TEST(Network, JsonSerializationRoundTrip) {
                                     std::make_unique<Adam>(0.01),
                                     util::Rng(99));
   const Tensor input{{0.2, 0.4, -0.6}};
-  const Tensor a = original.Predict(input);
-  const Tensor b = restored.Predict(input);
+  const Tensor a = original.PredictBatch(input);
+  const Tensor b = restored.PredictBatch(input);
   ASSERT_TRUE(a.SameShape(b));
   for (std::size_t c = 0; c < a.cols(); ++c) {
     EXPECT_DOUBLE_EQ(a(0, c), b(0, c));
@@ -184,10 +189,75 @@ TEST(Network, PredictOneMatchesBatchPredict) {
                   util::Rng(43));
   const std::vector<double> x = {0.3, 0.7};
   const auto single = network.PredictOne(x);
-  const auto batch = network.Predict(Tensor::Row(x));
+  const auto batch = network.PredictBatch(Tensor::Row(x));
   ASSERT_EQ(single.size(), 2u);
   EXPECT_DOUBLE_EQ(single[0], batch(0, 0));
   EXPECT_DOUBLE_EQ(single[1], batch(0, 1));
+}
+
+Network MakeQNetwork(std::size_t inputs, std::size_t outputs,
+                     std::uint64_t seed) {
+  return Network(inputs,
+                 {{16, Activation::kRelu},
+                  {12, Activation::kTanh},
+                  {outputs, Activation::kIdentity}},
+                 Loss::kMeanSquaredError, std::make_unique<Adam>(0.01),
+                 util::Rng(seed));
+}
+
+Tensor RandomRows(std::size_t rows, std::size_t width, std::uint64_t seed) {
+  util::Rng rng(seed);
+  return Tensor::Generate(rows, width, [&] { return rng.NextGaussian(); });
+}
+
+bool BitEqual(const Tensor& a, const Tensor& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(double)) == 0;
+}
+
+// The batching law: a batched forward produces, per row, EXACTLY the
+// doubles the one-row path produces (identical op order per row), so
+// batching many queries through one forward cannot perturb any of them.
+TEST(PredictBatch, RowsExactlyEqualPredictOne) {
+  const Network network = MakeQNetwork(9, 7, 11);
+  const Tensor batch = RandomRows(33, 9, 22);
+
+  const Tensor out = network.PredictBatch(batch);
+  ASSERT_EQ(out.rows(), batch.rows());
+  ASSERT_EQ(out.cols(), 7u);
+  for (std::size_t r = 0; r < batch.rows(); ++r) {
+    const std::vector<double> one = network.PredictOne(batch.RowVector(r));
+    for (std::size_t c = 0; c < one.size(); ++c) {
+      // Exact FP equality, not a tolerance: the batched row must be
+      // bit-for-bit the single-row result.
+      EXPECT_EQ(out.At(r, c), one[c]) << "row " << r << " col " << c;
+    }
+  }
+}
+
+TEST(PredictBatch, RejectsWidthMismatchAndHandlesEmpty) {
+  const Network network = MakeQNetwork(5, 3, 1);
+  EXPECT_THROW(network.PredictBatch(Tensor(2, 4)), jarvis::util::CheckError);
+  const Tensor empty = network.PredictBatch(Tensor(0, 5));
+  EXPECT_EQ(empty.rows(), 0u);
+  EXPECT_EQ(empty.cols(), 3u);
+}
+
+// A workspace only caches capacity: one workspace reused across a 1-row,
+// a 1440-row (a day of minutes) and another 1-row forward returns the same
+// bits as a fresh workspace for each call.
+TEST(PredictBatch, ReusedWorkspaceMatchesFreshWorkspace) {
+  const Network network = MakeQNetwork(9, 7, 13);
+  InferenceWorkspace reused;
+  for (const auto& [rows, seed] :
+       {std::pair<std::size_t, std::uint64_t>{1, 40}, {1440, 41}, {1, 42}}) {
+    const Tensor input = RandomRows(rows, 9, seed);
+    InferenceWorkspace fresh;
+    const Tensor want = network.Predict(input, fresh);
+    EXPECT_TRUE(BitEqual(network.Predict(input, reused), want))
+        << rows << "-row forward";
+  }
 }
 
 }  // namespace

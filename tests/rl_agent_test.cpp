@@ -9,10 +9,10 @@
 
 #include "fsm/device_library.h"
 #include "rl/dqn_agent.h"
-#include "rl/tabular_agent.h"
 #include "rl/trainer.h"
 #include "sim/testbed.h"
 #include "util/json.h"
+#include "util/rng.h"
 
 namespace jarvis::rl {
 namespace {
@@ -343,39 +343,31 @@ TEST_F(AgentFixture, AgentLoadRejectsHostileDocumentsUnchanged) {
   EXPECT_EQ(agent.QValues(probe), before_q);
 }
 
-TEST_F(AgentFixture, TabularAgentLearnsContextualBandits) {
-  TabularConfig config;
-  config.epsilon = 0.0;
-  TabularQAgent agent(home_, config);
-  const fsm::StateVector state = {0, 0, 0, 2, 2};
-  fsm::ActionVector good(home_.device_count(), fsm::kNoAction);
-  good[2] = 1;
-  fsm::ActionVector bad(home_.device_count(), fsm::kNoAction);
-  bad[2] = 0;
-  const auto mask = AllOn();
-  for (int i = 0; i < 100; ++i) {
-    agent.Update(state, 600, good, 1.0, state, 601, mask, true);
-    agent.Update(state, 600, bad, -1.0, state, 601, mask, true);
-  }
-  EXPECT_GT(agent.QValue(state, 600, {2, 1}), 0.9);
-  EXPECT_LT(agent.QValue(state, 600, {2, 0}), -0.9);
-  const auto action = agent.SelectAction(state, 600, mask, true);
-  EXPECT_EQ(action[2], 1);
-  EXPECT_GT(agent.table_size(), 0u);
-}
+// A batched forward decoded row by row picks exactly the actions
+// SelectAction picks greedily, one observation at a time: the batched
+// suggest route (Fleet::SuggestMinutes) cannot change a decision.
+TEST_F(AgentFixture, GreedyDecodeMatchesSelectAction) {
+  const std::size_t feature_width = 12;
+  DqnConfig config;
+  config.hidden_units = {16, 16};
+  DqnAgent agent(feature_width, codec_, config);
+  const std::vector<bool> mask = AllOn();
 
-TEST_F(AgentFixture, TabularEpsilonDecay) {
-  TabularConfig config;
-  config.epsilon = 1.0;
-  config.epsilon_decay = 0.5;
-  config.epsilon_min = 0.3;
-  TabularQAgent agent(home_, config);
-  agent.DecayEpsilon();
-  EXPECT_DOUBLE_EQ(agent.epsilon(), 0.5);
-  agent.DecayEpsilon();
-  EXPECT_DOUBLE_EQ(agent.epsilon(), 0.3);
-  agent.DecayEpsilon();
-  EXPECT_DOUBLE_EQ(agent.epsilon(), 0.3);
+  util::Rng rng(31);
+  neural::Tensor batch(10, feature_width);
+  for (std::size_t r = 0; r < batch.rows(); ++r) {
+    for (std::size_t c = 0; c < feature_width; ++c) {
+      batch(r, c) = rng.NextGaussian();
+    }
+  }
+  const neural::Tensor q = agent.network().PredictBatch(batch);
+  for (std::size_t r = 0; r < batch.rows(); ++r) {
+    const fsm::ActionVector batched =
+        agent.GreedyActionFromQ(q.RowVector(r), mask);
+    const fsm::ActionVector direct =
+        agent.SelectAction(batch.RowVector(r), mask, true);
+    EXPECT_EQ(batched, direct) << "row " << r;
+  }
 }
 
 TEST(TrainerIntegration, ImprovesOverRandomPolicyAndKeepsBestSnapshot) {

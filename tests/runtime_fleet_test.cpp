@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -268,15 +270,14 @@ TEST_F(FleetFixture, ReportSnapshotIsSafeWhileRunIsInFlight) {
 // Regression (dangling `stored` fix): the end-of-run publish used to read
 // a raw pointer into the shard slot after dropping the fleet lock, so a
 // concurrent RemoveTenant — which resets the slot — left the publish
-// cloning a destroyed network. The job now keeps its own shared_ptr
-// ownership token across the publish. Run under TSan/ASan (label
-// `runtime`), where the old bug is a hard failure.
-TEST_F(FleetFixture, RemoveTenantWhilePublishInFlightIsSafe) {
+// reading a destroyed network. The job now keeps its own shared_ptr
+// ownership token, and mid-run snapshot swaps skip removed tenants. Run
+// under TSan/ASan (label `runtime`), where the old bug is a hard failure.
+TEST_F(FleetFixture, RemoveTenantWhileRepublishInFlightIsSafe) {
   FleetConfig config = CheapConfig(6, 3);
-  // Stream every episode: maximizes publish traffic racing the removals.
+  // Republish every episode: maximizes snapshot swaps racing the removals.
   config.tenant_config.trainer.republish.every_episodes = 1;
   Fleet fleet(Home(), config);
-  fleet.EnableAggregation(AggregationConfig{});
   const auto factory = SimulatedWorkloadFactory(Home(), CheapWorkload());
 
   std::atomic<bool> done{false};
@@ -294,110 +295,159 @@ TEST_F(FleetFixture, RemoveTenantWhilePublishInFlightIsSafe) {
   remover.join();
 
   EXPECT_EQ(report.tenants.size(), 6u);
-  // The untouched half of the fleet trained and serves normally.
   sim::ResidentSimulator resident(Home(), sim::ThermalConfig{}, 1);
   const fsm::StateVector state = resident.OvernightState();
+  // A removed tenant stays never-run, even if its job finished after the
+  // removal; the untouched half of the fleet trained and serves normally.
+  for (std::size_t index = 0; index < 3; ++index) {
+    EXPECT_THROW(fleet.SuggestMinutes(index, state, {480}), std::logic_error);
+  }
   for (std::size_t index = 3; index < 6; ++index) {
     const auto actions = fleet.SuggestMinutes(index, state, {480, 720});
     EXPECT_EQ(actions.size(), 2u);
   }
-  // The funnel survived the racing publishes with its conservation law
-  // intact.
-  const auto aggregator = fleet.aggregator();
-  ASSERT_NE(aggregator, nullptr);
-  const AggregationStats stats = aggregator->stats();
-  EXPECT_EQ(stats.submitted_queries,
-            stats.answered_queries + stats.rejected_queries);
 }
 
-// Regression (aggregator() use-after-free fix): aggregator() used to
-// return a raw pointer that a second EnableAggregation invalidated. It now
-// returns shared ownership, so a cached handle — and in-flight
-// SuggestMinutes traffic — survives any number of re-enables, and serving
-// answers stay bit-identical to the direct route throughout.
-TEST_F(FleetFixture, ReEnableAggregationWhileServingKeepsOldHandleValid) {
-  Fleet fleet(Home(), CheapConfig(2, 1));
+// Concurrent SuggestAction calls on one Jarvis share its network. Each
+// forward runs in a call-local workspace, so every answer equals the
+// single-threaded one (and TSan sees no write to shared scratch).
+TEST_F(FleetFixture, ConcurrentSuggestActionMatchesSingleThreaded) {
+  Fleet fleet(Home(), CheapConfig(1, 1));
   fleet.Run(SimulatedWorkloadFactory(Home(), CheapWorkload()));
+  const core::Jarvis* jarvis = fleet.tenant(0);
+  ASSERT_NE(jarvis, nullptr);
 
   sim::ResidentSimulator resident(Home(), sim::ThermalConfig{}, 1);
   const fsm::StateVector state = resident.OvernightState();
-  const std::vector<int> minutes = {0, 240, 480, 720, 960, 1200};
-  // Direct-route oracle, computed before any aggregation exists.
-  const auto expected_t0 = fleet.SuggestMinutes(0, state, minutes);
-  const auto expected_t1 = fleet.SuggestMinutes(1, state, minutes);
+  std::vector<int> minutes;
+  for (int minute = 0; minute < 1440; minute += 45) minutes.push_back(minute);
+  std::vector<fsm::ActionVector> expected;
+  for (int minute : minutes) {
+    expected.push_back(jarvis->SuggestAction(state, minute));
+  }
 
-  fleet.EnableAggregation(AggregationConfig{});
-  const std::shared_ptr<AggregationService> first = fleet.aggregator();
-  ASSERT_NE(first, nullptr);
+  std::vector<std::thread> threads;
+  std::vector<std::size_t> mismatches(4, 0);
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 5; ++round) {
+        for (std::size_t i = 0; i < minutes.size(); ++i) {
+          if (jarvis->SuggestAction(state, minutes[i]) != expected[i]) {
+            ++mismatches[t];
+          }
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t t = 0; t < 4; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  }
+}
+
+// Serving while training: 4 threads call SuggestMinutes on one tenant
+// while a re-Run republishes that tenant's snapshot every episode. A call
+// pins one snapshot for all of its rows, so every answer must be exactly
+// the decode of one published network: the previous run's policy or one
+// of the clones the republish hook took. A reference pipeline with the
+// tenant's seeds and workload records each clone through its own hook.
+TEST_F(FleetFixture, SuggestMinutesDuringRepublishDecodesOneSnapshot) {
+  FleetConfig config = CheapConfig(1, 1);
+  // Enough episodes at a high enough learning rate that the published
+  // snapshots decode to different actions (checked below).
+  config.tenant_config.trainer.episodes = 4;
+  config.tenant_config.dqn.learning_rate = 0.05;
+  config.tenant_config.trainer.republish.every_episodes = 1;
+  Fleet fleet(Home(), config);
+  const auto factory = SimulatedWorkloadFactory(Home(), CheapWorkload());
+  fleet.Run(factory);
+
+  // The reference pipeline: Fleet's per-tenant config derivation.
+  const std::uint64_t seed = fleet.tenant_seed(0);
+  core::JarvisConfig tenant_config = config.tenant_config;
+  tenant_config.seed = seed;
+  tenant_config.spl.seed = util::DeriveSeed(seed, 1);
+  tenant_config.dqn.seed = util::DeriveSeed(seed, 2);
+  core::Jarvis reference(Home(), tenant_config);
+  std::vector<std::shared_ptr<const neural::Network>> published;
+  reference.SetLearningHook(
+      [&published](const rl::EpisodeProgress&,
+                   const neural::Network& network) {
+        published.push_back(network.CloneForInference());
+      });
+  const TenantWorkload workload = factory(0, seed);
+  reference.LearnFromEvents(workload.events, workload.initial_state,
+                            workload.start, workload.labeled);
+  reference.OptimizeDay(workload.day, workload.weights);
+  ASSERT_FALSE(published.empty());
+  // The run's end publishes the trained network itself; a re-Run trains
+  // the same network again, so it is also what the first run left behind.
+  published.push_back(reference.agent()->network().CloneForInference());
+
+  sim::ResidentSimulator resident(Home(), sim::ThermalConfig{}, 1);
+  const fsm::StateVector state = resident.OvernightState();
+  std::vector<int> minutes;
+  for (int minute = 0; minute < 1440; minute += 30) minutes.push_back(minute);
+  const rl::IoTEnv& env = *reference.policy_env();
+  std::vector<std::vector<fsm::ActionVector>> decodes;
+  for (const auto& network : published) {
+    std::vector<fsm::ActionVector> actions;
+    for (int minute : minutes) {
+      actions.push_back(reference.agent()->GreedyActionFromQ(
+          network->PredictOne(env.FeaturesFor(state, minute)),
+          env.SafeSlotMaskFor(state, minute)));
+    }
+    decodes.push_back(std::move(actions));
+  }
+  // Snapshots that all decoded alike could not tell a torn call apart.
+  ASSERT_GE(std::set<std::vector<fsm::ActionVector>>(decodes.begin(),
+                                                     decodes.end())
+                .size(),
+            2u);
+  ASSERT_EQ(fleet.SuggestMinutes(0, state, minutes), decodes.back());
 
   std::atomic<bool> done{false};
-  std::thread suggester([&] {
-    while (!done.load()) {
-      EXPECT_EQ(fleet.SuggestMinutes(0, state, minutes), expected_t0);
-      EXPECT_EQ(fleet.SuggestMinutes(1, state, minutes), expected_t1);
-    }
-  });
-  for (int cycle = 0; cycle < 5; ++cycle) {
-    fleet.EnableAggregation(AggregationConfig{});
+  std::vector<std::size_t> calls(4, 0);
+  std::vector<std::size_t> unmatched(4, 0);
+  std::vector<std::thread> suggesters;
+  for (std::size_t t = 0; t < 4; ++t) {
+    suggesters.emplace_back([&, t] {
+      do {
+        const auto actions = fleet.SuggestMinutes(0, state, minutes);
+        ++calls[t];
+        if (std::find(decodes.begin(), decodes.end(), actions) ==
+            decodes.end()) {
+          ++unmatched[t];
+        }
+      } while (!done.load());
+    });
   }
+  fleet.Run(factory);
   done.store(true);
-  suggester.join();
+  for (auto& suggester : suggesters) suggester.join();
 
-  // The pre-replace handle still answers stats queries — with the raw
-  // pointer this dereference was the use-after-free.
-  const AggregationStats old_stats = first->stats();
-  EXPECT_EQ(old_stats.submitted_queries,
-            old_stats.answered_queries + old_stats.rejected_queries);
-  const std::shared_ptr<AggregationService> current = fleet.aggregator();
-  ASSERT_NE(current, nullptr);
-  EXPECT_NE(current.get(), first.get());
-  EXPECT_GE(current->stats().weights_published, 2u);
-}
-
-// Regression (EnableAggregation quiescence fix): attaching the funnel
-// while Run is in flight must leave no tenant behind — the swap and the
-// publish set are decided in one critical section, so every tenant that
-// completes either publishes at its own job end (it saw the new service)
-// or was published by EnableAggregation (it had already finished). After
-// the run every suggest rides the funnel: zero rejects, zero fallbacks.
-TEST_F(FleetFixture, EnableAggregationMidRunCoversEveryCompletedTenant) {
-  Fleet fleet(Home(), CheapConfig(4, 2));
-  const auto factory = SimulatedWorkloadFactory(Home(), CheapWorkload());
-
-  FleetReport report;
-  std::thread runner([&] { report = fleet.Run(factory); });
-  fleet.EnableAggregation(AggregationConfig{});
-  runner.join();
-
-  ASSERT_EQ(report.completed, 4u);
-  const auto aggregator = fleet.aggregator();
-  ASSERT_NE(aggregator, nullptr);
-  EXPECT_GE(aggregator->stats().weights_published, 4u);
-
-  sim::ResidentSimulator resident(Home(), sim::ThermalConfig{}, 1);
-  const fsm::StateVector state = resident.OvernightState();
-  const AggregationStats before = aggregator->stats();
-  for (std::size_t index = 0; index < 4; ++index) {
-    fleet.SuggestMinutes(index, state, {480});
+  for (std::size_t t = 0; t < 4; ++t) {
+    EXPECT_GT(calls[t], 0u);
+    EXPECT_EQ(unmatched[t], 0u) << "thread " << t;
   }
-  const AggregationStats after = aggregator->stats();
-  // All four went through the funnel (a tenant without a published
-  // version would have been rejected into the direct-route fallback).
-  EXPECT_EQ(after.answered_queries, before.answered_queries + 4);
-  EXPECT_EQ(after.rejected_queries, before.rejected_queries);
+  // The fleet published exactly the clones the reference recorded, once
+  // per run.
+  EXPECT_EQ(fleet.Metrics()
+                .GetCounter("runtime.fleet.republishes",
+                            obs::Determinism::kTiming)
+                ->Value(),
+            2 * (published.size() - 1));
+  EXPECT_EQ(fleet.SuggestMinutes(0, state, minutes), decodes.back());
 }
 
-// The streaming tentpole end to end: with a republish cadence configured
-// and the funnel attached BEFORE Run, training tenants stream weight
-// versions mid-run (strictly more versions than publish-on-completion
-// would produce), and — because the hook draws no RNG — both the tenant
-// results and the served suggestions are bit-identical to a fleet that
-// never streamed.
-TEST_F(FleetFixture, StreamingRepublishAddsVersionsWithoutPerturbingResults) {
+// Streaming republish end to end: with a cadence configured, training
+// tenants swap in mid-run snapshots, and — because the hook draws no RNG —
+// both the tenant results and the served suggestions are bit-identical to
+// a fleet that never streamed.
+TEST_F(FleetFixture, StreamingRepublishDoesNotPerturbResults) {
   FleetConfig streaming_config = CheapConfig(2, 2);
   streaming_config.tenant_config.trainer.republish.every_episodes = 1;
   Fleet streaming(Home(), streaming_config);
-  streaming.EnableAggregation(AggregationConfig{});
   const auto factory = SimulatedWorkloadFactory(Home(), CheapWorkload());
   const FleetReport streamed_report = streaming.Run(factory);
 
@@ -405,12 +455,11 @@ TEST_F(FleetFixture, StreamingRepublishAddsVersionsWithoutPerturbingResults) {
   const FleetReport plain_report = plain.Run(factory);
 
   ExpectTenantResultsIdentical(plain_report, streamed_report);
-
-  const auto aggregator = streaming.aggregator();
-  ASSERT_NE(aggregator, nullptr);
-  // Publish-on-completion alone would publish exactly one version per
-  // completed tenant; streaming every episode must beat that.
-  EXPECT_GT(aggregator->stats().weights_published, streamed_report.completed);
+  EXPECT_GT(streaming.Metrics()
+                .GetCounter("runtime.fleet.republishes",
+                            obs::Determinism::kTiming)
+                ->Value(),
+            0u);
 
   sim::ResidentSimulator resident(Home(), sim::ThermalConfig{}, 1);
   const fsm::StateVector state = resident.OvernightState();

@@ -201,20 +201,16 @@ TEST_F(DispatcherTest, SuggestMinutesBatchMatchesDirectCall) {
   }
 }
 
-// The PR-8 parity pin, with the cross-tenant aggregation funnel in the
-// path: a same-seed fleet with an AggregationService attached must answer
-// every wire suggestion bit-identically to the fixture's direct fleet —
-// aggregation is invisible to serving semantics (DESIGN.md §16).
-TEST_F(DispatcherTest, SuggestParityHoldsWithAggregationInPath) {
-  runtime::Fleet aggregated(*home_, TinyFleetConfig(2));
-  runtime::AggregationConfig agg;
-  agg.max_batch = 64;
-  agg.deadline_us = 200;
-  aggregated.EnableAggregation(agg);
-  aggregated.Run(runtime::SimulatedWorkloadFactory(*home_, TinyWorkload()));
-  ASSERT_NE(aggregated.aggregator(), nullptr);
-  ASSERT_NE(aggregated.aggregator()->weight_version(0), 0u);
-  Dispatcher dispatcher(aggregated, DefaultOptions(), nullptr);
+// The wire parity pin with streaming republish on: a same-seed fleet that
+// swapped serving snapshots every training episode must answer every wire
+// suggestion bit-identically to the fixture's fleet — republishing is
+// invisible to serving semantics once the run completes (DESIGN.md §10).
+TEST_F(DispatcherTest, SuggestParityHoldsWithStreamingRepublish) {
+  runtime::FleetConfig config = TinyFleetConfig(2);
+  config.tenant_config.trainer.republish.every_episodes = 1;
+  runtime::Fleet streamed(*home_, config);
+  streamed.Run(runtime::SimulatedWorkloadFactory(*home_, TinyWorkload()));
+  Dispatcher dispatcher(streamed, DefaultOptions(), nullptr);
 
   std::vector<int> minutes;
   for (int minute = 0; minute < util::kMinutesPerDay; minute += 13) {
@@ -236,7 +232,7 @@ TEST_F(DispatcherTest, SuggestParityHoldsWithAggregationInPath) {
     }
   }
 
-  // The batch request for the other tenant rides the same funnel.
+  // The batch request for the other tenant.
   const std::vector<int> batch_minutes = {0, 60, 480, 481, 720, 1200, 1439};
   std::string list;
   for (int minute : batch_minutes) {
@@ -258,9 +254,6 @@ TEST_F(DispatcherTest, SuggestParityHoldsWithAggregationInPath) {
       EXPECT_EQ(action[d].AsInt(), batch_direct[i][d]);
     }
   }
-  // The traffic really went through the aggregator, not the fallback.
-  EXPECT_GE(aggregated.aggregator()->stats().rows_inferred,
-            minutes.size() + batch_minutes.size());
 }
 
 TEST_F(DispatcherTest, IngestCountsGoodAndBadLines) {

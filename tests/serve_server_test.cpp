@@ -3,7 +3,7 @@
 // deterministic and explicit, and a drain under load answers every single
 // request — accepted ones with results, refused ones with overloaded /
 // draining — losing none. Carries the `runtime` label so TSan races the
-// worker pool, the loopback queues, and the per-tenant suggestion locks.
+// worker pool, the loopback queues, and concurrent lock-free suggestions.
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
@@ -324,13 +324,10 @@ TEST_F(ServerTest, DrainUnderLoadAnswersEveryRequestAndFlushes) {
       util::io::FileExists(runtime::Fleet::TenantCheckpointPath(dir, 0)));
 }
 
-// The drain pin with the cross-tenant aggregation funnel in the serving
-// path: suggestion traffic under overload + drain, every accepted request
-// answered exactly once with the bit-exact action, and the aggregator's
-// conservation law closing after the pool idles (DESIGN.md §16).
-TEST_F(ServerTest, DrainUnderLoadWithAggregationAnswersExactlyOnce) {
-  // A local fleet: attaching a funnel to the shared fixture would change
-  // the route for every other test in the suite.
+// The drain pin with suggestion traffic in the serving path: under
+// overload + drain, every request is answered exactly once, and every
+// accepted suggestion carries the bit-exact action for its minute.
+TEST_F(ServerTest, DrainUnderLoadAnswersSuggestionsExactlyOnce) {
   runtime::Fleet fleet(*home_, TinyFleetConfig());
   runtime::SimulatedWorkloadOptions workload;
   workload.learning_days = 1;
@@ -339,18 +336,13 @@ TEST_F(ServerTest, DrainUnderLoadWithAggregationAnswersExactlyOnce) {
 
   sim::ResidentSimulator resident(*home_, sim::ThermalConfig{}, 2026);
   const fsm::StateVector overnight = resident.OvernightState();
-  // Expected actions from the direct route, BEFORE the funnel attaches.
+  // Expected actions, computed before the server starts.
   std::vector<int> minutes;
   for (int minute = 0; minute < util::kMinutesPerDay; minute += 60) {
     minutes.push_back(minute);
   }
   const std::vector<fsm::ActionVector> expected =
       fleet.SuggestMinutes(0, overnight, minutes);
-
-  runtime::AggregationConfig agg;
-  agg.max_batch = 8;
-  agg.deadline_us = 500;
-  fleet.EnableAggregation(agg);
 
   DispatcherOptions options;
   options.allow_stall = true;
@@ -366,7 +358,7 @@ TEST_F(ServerTest, DrainUnderLoadWithAggregationAnswersExactlyOnce) {
   std::thread serving([&] { stats = server.Serve(*pair.server); });
 
   // One stalled worker + a suggestion burst past workers + queue, then a
-  // drain racing in-flight funnel queries, then late traffic.
+  // drain racing in-flight suggestions, then late traffic.
   pair.client->WritePayload(R"({"id": 0, "type": "stall"})");
   while (dispatcher.stalled_now() == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -390,7 +382,7 @@ TEST_F(ServerTest, DrainUnderLoadWithAggregationAnswersExactlyOnce) {
   const auto responses = ReadAll(*pair.client);
 
   // Every request answered exactly once; every accepted suggestion carries
-  // the bit-exact direct-route action for its minute.
+  // the bit-exact action for its minute.
   const std::size_t total = 1 + minutes.size() + kLate;
   ASSERT_EQ(responses.size(), total);
   std::map<std::int64_t, std::string> outcome;
@@ -418,11 +410,6 @@ TEST_F(ServerTest, DrainUnderLoadWithAggregationAnswersExactlyOnce) {
   EXPECT_EQ(outcome.size(), total) << "every id answered exactly once";
   EXPECT_EQ(ok, stats.accepted);
   EXPECT_EQ(ok + refused, total);
-
-  // The pool is idle, so the funnel's conservation law must close.
-  const runtime::AggregationStats agg_stats = fleet.aggregator()->stats();
-  EXPECT_EQ(agg_stats.submitted_queries,
-            agg_stats.answered_queries + agg_stats.rejected_queries);
 }
 
 }  // namespace

@@ -24,9 +24,9 @@ bench/baselines/ (overridable with --baseline):
 
 `bench` == "lifecycle" (bench/bench_lifecycle), `bench` == "serve"
 (bench/bench_serve), and `bench` == "fleet" (bench/bench_fleet — the
-cross-tenant aggregation sweep: query/answer conservation, exact-parity
-verdicts, and the manual-mode flush arithmetic) share one deterministic
-shape:
+lock-free direct-route sweep's query counts and parity verdicts,
+SuggestMinutes parity, and the republish staleness arithmetic) share one
+deterministic shape:
   1. Schema: every case carries name plus a `deterministic` object (int
      outcomes — lifecycle: episodes skipped by warm start, violations,
      checkpoint save/restore counts, result parity; serve: request /

@@ -58,6 +58,11 @@ Enforced invariants (see DESIGN.md "Correctness tooling"):
      locally and breaks a clean checkout; this rule fails it first. Outside
      a git checkout (a source tarball) there is no tracked set and the
      rule is skipped.
+ 13. A `mutable` data member in src/ must be a util::Mutex or
+     util::SharedMutex. Anything else mutable lets a `const` method write
+     shared state — the inference scratch that once made every concurrent
+     Network::Predict a data race. Scratch a `const` method needs belongs
+     to its caller (e.g. neural::InferenceWorkspace).
 
 Run with --self-test to exercise the rule engine against embedded
 fixtures (wired into CI's static-analysis job).
@@ -188,6 +193,10 @@ TRAILING_NAME_RE = re.compile(r"([A-Za-z_]\w*)\s*$")
 QUOTED_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 CLASS_HEAD_RE = re.compile(r"\b(?:class|struct)\b")
 ENUM_HEAD_RE = re.compile(r"\benum\b")
+# Rule 13: a declaration that opens with `mutable` and is not a lock. A
+# lambda's `mutable` follows its parameter list, never starts a line.
+MUTABLE_MEMBER_RE = re.compile(
+    r"^\s*mutable\s+(?!(?:jarvis::)?(?:util::)?(?:Mutex|SharedMutex)\b)")
 
 
 def strip_comments(text: str) -> str:
@@ -436,6 +445,11 @@ def check_file_text(root, rel, errors, text=None, tracked=None):
                     "byte streams go through serve::FramedTransport and "
                     "durable writes through util::io (lint rule 11, "
                     "DESIGN.md §15)")
+            if MUTABLE_MEMBER_RE.match(line):
+                errors.append(
+                    f"{rel}:{lineno}: mutable data member: only util::Mutex "
+                    "/ util::SharedMutex may be mutable — a const method "
+                    "must not write shared scratch (lint rule 13)")
         if is_header:
             check_guard_coverage(rel, raw, errors)
 
@@ -589,6 +603,22 @@ SELF_TEST_CASES = [
      ['#include "core/health.h" resolves to no file']),
     ("rule12 ignores commented-out includes", "src/fix/c.cpp",
      '// #include "gone.h"\n',
+     []),
+    ("rule13 flags mutable scratch", "src/fix/net.h",
+     "#pragma once\nclass Net {\n  mutable Tensor ping_;\n};\n",
+     ["mutable data member"]),
+    ("rule13 flags a mutable qualified type", "src/fix/rng.cpp",
+     "struct S {\n  mutable jarvis::util::Rng rng_;\n};\n",
+     ["mutable data member"]),
+    ("rule13 allows mutable locks", "src/fix/locks.h",
+     "#pragma once\nclass Locks {\n  mutable util::Mutex mutex_;\n"
+     "  mutable util::SharedMutex shared_mutex_;\n};\n",
+     []),
+    ("rule13 ignores mutable lambdas", "src/fix/lambda.cpp",
+     "void f() {\n  auto g = [n]() mutable { return ++n; };\n}\n",
+     []),
+    ("rule13 does not apply to tests", "tests/fix_mutable_test.cpp",
+     "struct Probe {\n  mutable int hits_ = 0;\n};\n",
      []),
 ]
 
